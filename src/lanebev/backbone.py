@@ -15,7 +15,7 @@ published magnitudes for the depth-50 / depth-18 shapes (3.8e9 / 1.8e9 at
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import ConfigError
-from .dataset import Camera, project
+from .dataset import Camera
 from .tensor import Tensor
 
 # instrumentation: forward sub-block invocation counts, reset by tests
@@ -237,12 +237,23 @@ def pillar_heights(n: int = 4, z_min: float = -1.0, z_max: float = 2.0) -> np.nd
     return np.linspace(z_min, z_max, n)
 
 
+# the last rig seen: a dataset's rig is fixed, so every layer and frame reuses it
+_REFERENCE_MEMO: dict = {}
+
+
 def projected_references(spec: BEVGridSpec, cameras: list[Camera], zs: np.ndarray):
     """Hit masks and normalized image points for every (cell, height, camera).
 
     Returns (refs, hits): refs[cam][H*W*Z, 2] normalized image coords with
-    misses at (-1, -1); hits[cam][H*W*Z] booleans.  Pure geometry.
+    misses at (-1, -1); hits[cam][H*W*Z] booleans.  Pure geometry, memoized
+    on the content of the grid spec, the heights and every camera's
+    intrinsics and extrinsics; the arrays are read-only and shared.
     """
+    key = (spec, np.asarray(zs, dtype=np.float64).tobytes(), np.array(
+        [[c.fx, c.fy, c.cx, c.cy, c.width, c.height, *np.ravel(c.r), *np.ravel(c.t)]
+         for c in cameras], dtype=np.float64).tobytes())
+    if key in _REFERENCE_MEMO:
+        return _REFERENCE_MEMO[key]
     centers = spec.cell_centers()
     n = len(centers)
     z = len(zs)
@@ -262,9 +273,12 @@ def projected_references(spec: BEVGridSpec, cameras: list[Camera], zs: np.ndarra
             m[idx] = ok
             r[idx[ok], 0] = u[ok] / cam.width
             r[idx[ok], 1] = v[ok] / cam.height
+        r.flags.writeable = m.flags.writeable = False
         refs.append(r)
         hits.append(m)
-    return refs, hits
+    _REFERENCE_MEMO.clear()
+    _REFERENCE_MEMO[key] = tuple(refs), tuple(hits)
+    return _REFERENCE_MEMO[key]
 
 
 def spatial_cross_attention(bev: BEVGrid, pv_features, cameras, params, prefix,
@@ -274,8 +288,11 @@ def spatial_cross_attention(bev: BEVGrid, pv_features, cameras, params, prefix,
 
     Each cell raises Z reference heights; every camera that sees a point
     ("hit") contributes a deformable-attention sample around the projected
-    pixel.  Contributions are averaged over hit (view, height) pairs; cells
-    without any hit pass through unchanged via the residual connection.
+    pixel.  Each camera attends from its hit (cell, height) rows only: they
+    are gathered, attended and scattered back into the [H*W*Z, D] buffer,
+    so misses cost nothing forward or backward.  Contributions are averaged
+    over hit (view, height) pairs; cells without any hit pass through
+    unchanged via the residual connection.
     """
     OP_COUNTS["sca"] += 1
     spec = bev.spec
@@ -289,20 +306,17 @@ def spatial_cross_attention(bev: BEVGrid, pv_features, cameras, params, prefix,
         raise ConfigError("degenerate rig: no camera sees any BEV cell")
 
     q = bev.emb if query_pos is None else T.add(bev.emb, query_pos)
-    rep = np.repeat(np.arange(n), z)
-    q_rep = q[rep]                                               # [N*Z, D]
-
     total = None
     counts = np.zeros(n * z)
     for cam_idx, feat in enumerate(pv_features):
-        mask = hits[cam_idx]
-        if not mask.any():
+        rows = np.nonzero(hits[cam_idx])[0]
+        if not len(rows):
             continue
-        out = deformable_attention(q_rep, refs[cam_idx], feat, params, prefix,
+        out = deformable_attention(q[rows // z], refs[cam_idx][rows], feat, params, prefix,
                                    n_heads, n_points)
-        out = T.mul(out, T._as_tensor(mask[:, None].astype(np.float64)))
+        out = T.scatter_rows(out, rows, n * z)
         total = out if total is None else T.add(total, out)
-        counts += mask
+        counts += hits[cam_idx]
     per_cell = counts.reshape(n, z).sum(axis=1)
     denom = np.maximum(per_cell, 1.0)
     summed = T.tsum(T.reshape(total, (n, z, -1)), axis=1)

@@ -10,15 +10,13 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .backbone import BACKBONE_PRESETS, count_flops, count_macs, flops_table
 from .config import ConfigFileError, ExperimentConfig, load_config
 from .dataset import generate_scene, load_dataset, save_dataset, scenario_for_seed
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, predict_scene
-from .trainer import (ConfigHashMismatchError, TrainLog, format_suite_table,
-                      load_checkpoint, run_experiment_suite, train)
+from .trainer import (ConfigHashMismatchError, format_suite_table, load_checkpoint,
+                      run_experiment_suite, train)
 
 
 class UsageError(ValueError):

@@ -3,9 +3,8 @@ line-oriented ``key = value`` config-file format with override support."""
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 
 class ConfigFileError(ValueError):

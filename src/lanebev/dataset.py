@@ -13,7 +13,7 @@ Determinism: every float stored in a Scene is passed through the same
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .segments import CLASS_CROSSWALK, CLASS_LANE, LaneSegment
+from .segments import CLASS_CROSSWALK, CLASS_LANE
 
 DEFAULT_THRESHOLDS = (0.5, 1.0, 1.5)
 FOREGROUND_CLASSES = (CLASS_LANE, CLASS_CROSSWALK)

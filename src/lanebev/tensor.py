@@ -6,7 +6,7 @@ arrays; an explicit :class:`Tape` records backward rules per forward pass,
 so there is no implicit global graph.
 
 Conventions:
-  * default scalar type is float64 (switchable via :func:`set_default_dtype`)
+  * scalars are float64 unless a float32 array is passed in
   * gradients accumulate into ``Tensor.grad`` buffers during ``tape.backward``
   * tensors are immutable after creation except for gradient accumulation
 """
@@ -24,19 +24,7 @@ class TapeError(RuntimeError):
     """Tape misuse: repeated backward, mixed tapes, non-scalar loss."""
 
 
-_DEFAULT_DTYPE = np.float64
 _DEBUG_CHECKS = False
-
-
-def set_default_dtype(dtype):
-    global _DEFAULT_DTYPE
-    if dtype not in (np.float32, np.float64):
-        raise ValueError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
 
 
 def set_debug_checks(enabled: bool):
@@ -51,7 +39,7 @@ class Tensor:
     def __init__(self, data, requires_grad=False, tape=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
         self.requires_grad = bool(requires_grad)
@@ -127,13 +115,6 @@ class Tape:
     def leaf(self, data, requires_grad=True):
         """Create a leaf tensor attached to this tape."""
         return Tensor(data, requires_grad=requires_grad, tape=self)
-
-    def watch(self, t: Tensor):
-        if t.tape is not None and t.tape is not self:
-            raise TapeError("tensor already belongs to another tape")
-        t.tape = self
-        t.requires_grad = True
-        return t
 
     @property
     def num_ops(self):
@@ -409,6 +390,20 @@ def getitem(x: Tensor, idx) -> Tensor:
             g = np.zeros_like(x.data)
             np.add.at(g, idx, out.grad)
             _accumulate(x, g)
+        tape._record(backward)
+    return out
+
+
+def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
+    """[n, ...] zeros with x's rows placed at the distinct indices idx."""
+    data = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
+    data[idx] = x.data
+    out, tape = _make_out(data, (x,))
+    if tape:
+        def backward():
+            if out.grad is None:
+                return
+            _accumulate(x, out.grad[idx])
         tape._record(backward)
     return out
 

@@ -57,14 +57,13 @@ def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
     decay.  Parameters without a gradient this step are left untouched
     (their moments do not advance either)."""
     b1, b2 = betas
-    state["step"] += 1
-    t = state["step"]
-    for name in sorted(params):
-        g = grads.get(name)
-        if g is None:
-            continue
+    live = [(name, grads[name]) for name in sorted(params) if grads.get(name) is not None]
+    for name, g in live:   # validate all first: a bad gradient leaves no partial update
         if not np.all(np.isfinite(g)):
             raise NonFiniteGradientError(f"non-finite gradient for {name}")
+    state["step"] += 1
+    t = state["step"]
+    for name, g in live:
         m = state["m"][name] = b1 * state["m"][name] + (1 - b1) * g
         v = state["v"][name] = b2 * state["v"][name] + (1 - b2) * g * g
         m_hat = m / (1 - b1 ** t)
@@ -127,15 +126,20 @@ def _write_bytes(f, b):
     f.write(b)
 
 
-def _read_bytes(f):
-    raw = f.read(8)
-    if len(raw) != 8:
-        raise CheckpointError("truncated checkpoint")
-    (n,) = struct.unpack("<Q", raw)
+def _read_exact(f, n):
     b = f.read(n)
     if len(b) != n:
         raise CheckpointError("truncated checkpoint")
     return b
+
+
+def _unpack(f, fmt):
+    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt)))
+
+
+def _read_bytes(f):
+    (n,) = _unpack(f, "<Q")
+    return _read_exact(f, n)
 
 
 def _write_array(f, name, arr):
@@ -149,8 +153,8 @@ def _write_array(f, name, arr):
 
 def _read_array(f):
     name = _read_bytes(f).decode()
-    (ndim,) = struct.unpack("<I", f.read(4))
-    shape = tuple(struct.unpack("<Q", f.read(8))[0] for _ in range(ndim))
+    (ndim,) = _unpack(f, "<I")
+    shape = tuple(_unpack(f, "<Q")[0] for _ in range(ndim))
     data = np.frombuffer(_read_bytes(f), dtype="<f8").reshape(shape)
     return name, data.copy()
 
@@ -199,21 +203,19 @@ def load_checkpoint(path):
     with open(path, "rb") as f:
         if f.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = struct.unpack("<I", f.read(4))
+        (version,) = _unpack(f, "<I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
         cfg_hash = _read_bytes(f).decode()
-        epoch, step, wall = struct.unpack("<QQd", f.read(24))
+        epoch, step, wall = _unpack(f, "<QQd")
         rng = _rng_from_bytes(_read_bytes(f))
         sections = []
         for _ in range(3):
-            (n,) = struct.unpack("<Q", f.read(8))
-            sec = {}
-            for _ in range(n):
-                name, arr = _read_array(f)
-                sec[name] = arr
-            sections.append(sec)
-        (adam_t,) = struct.unpack("<Q", f.read(8))
+            (n,) = _unpack(f, "<Q")
+            sections.append(dict(_read_array(f) for _ in range(n)))
+        (adam_t,) = _unpack(f, "<Q")
+        if f.read(1):
+            raise CheckpointError(f"{path}: trailing bytes after the checkpoint")
     adam = {"step": adam_t, "m": sections[1], "v": sections[2]}
     return {"config_hash": cfg_hash, "epoch": epoch, "step": step,
             "wall_seconds": wall, "rng": rng, "params": sections[0], "adam": adam}

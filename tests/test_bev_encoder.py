@@ -291,6 +291,101 @@ def test_hit_masks_ignore_feature_values(rng):
         assert np.array_equal(a, b)
 
 
+def dense_sca_oracle(bev, pv_features, cameras, params, prefix, n_heads, n_points, zs,
+                     query_pos):
+    """Spatial cross-attention over every (cell, height) query of every
+    camera, with the misses multiplied by zero afterwards."""
+    spec = bev.spec
+    n, z = spec.h * spec.w, len(zs)
+    refs, hits = E.projected_references(spec, cameras, zs)
+    q = T.add(bev.emb, query_pos)
+    q_rep = q[np.repeat(np.arange(n), z)]                        # [N*Z, D]
+    total = None
+    counts = np.zeros(n * z)
+    for cam_idx, feat in enumerate(pv_features):
+        mask = hits[cam_idx]
+        if not mask.any():
+            continue
+        out = E.deformable_attention(q_rep, refs[cam_idx], feat, params, prefix,
+                                     n_heads, n_points)
+        out = T.mul(out, T.Tensor(mask[:, None].astype(np.float64)))
+        total = out if total is None else T.add(total, out)
+        counts += mask
+    denom = np.maximum(counts.reshape(n, z).sum(axis=1), 1.0)
+    summed = T.tsum(T.reshape(total, (n, z, -1)), axis=1)
+    return E.BEVGrid(T.add(bev.emb, T.mul(summed, T.Tensor((1.0 / denom)[:, None]))), spec)
+
+
+def sky_camera():
+    """Camera at 60 m looking straight up: every pillar point is behind it."""
+    r = np.array([[0.0, 1.0, 0.0],
+                  [-1.0, 0.0, 0.0],
+                  [0.0, 0.0, 1.0]])
+    return D.Camera("up", 60.0, 60.0, 48.0, 32.0, r, -r @ np.array([0.0, 0.0, 60.0]), 96, 64)
+
+
+def partial_rig():
+    """Narrow front camera, a camera that sees nothing, and one side camera."""
+    cams = D.build_camera_rig()
+    return [cams[6], sky_camera(), cams[2]]
+
+
+@pytest.mark.parametrize("rig", [D.build_camera_rig, partial_rig])
+def test_sca_hit_rows_match_dense_oracle(rig, rng):
+    spec = small_spec()
+    dim, c, heads, k = 8, 6, 2, 2
+    cams = rig()
+    zs = E.pillar_heights()
+    params = make_da_params(rng, dim, c, heads, k, prefix="sca")
+    params["sca/offset/w"] = rng.standard_normal((dim, heads * k * 2)) * 0.05
+    params["sca/logit/w"] = rng.standard_normal((dim, heads * k))
+    arrays = {"emb": rng.standard_normal((spec.h * spec.w, dim)),
+              "pos": rng.standard_normal((spec.h * spec.w, dim)) * 0.1,
+              **{f"feat{i}": rng.standard_normal((c, 4, 6)) for i in range(len(cams))},
+              **params}
+    weight = rng.standard_normal((spec.h * spec.w, dim))
+
+    def run(sca):
+        tape = T.Tape()
+        leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+        feats = [leaves[f"feat{i}"] for i in range(len(cams))]
+        p = {name: leaves[name] for name in params}
+        out = sca(E.BEVGrid(leaves["emb"], spec), feats, cams, p, "sca", heads, k,
+                  zs=zs, query_pos=leaves["pos"]).emb
+        tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
+        return out.data, {name: t.grad for name, t in leaves.items()}
+
+    got, got_grads = run(E.spatial_cross_attention)
+    want, want_grads = run(dense_sca_oracle)
+    assert np.array_equal(got, want)
+    for name, g in want_grads.items():
+        if g is None:        # the camera that sees nothing
+            assert got_grads[name] is None, name
+            continue
+        scale = max(np.abs(g).max(), 1e-300)
+        assert np.abs(got_grads[name] - g).max() / scale < 1e-12, name
+
+
+def test_projected_references_memo_tracks_rig_content():
+    spec = small_spec()
+    zs = E.pillar_heights()
+    cams = D.build_camera_rig()
+    refs, hits = E.projected_references(spec, cams, zs)
+    assert E.projected_references(spec, D.build_camera_rig(), zs)[1] is hits
+    for a in refs + hits:
+        assert not a.flags.writeable
+    with pytest.raises(ValueError):
+        hits[0][0] = not hits[0][0]
+
+    cams[3].t[2] += 3.0          # in place: the same Camera objects, a moved rig
+    moved_refs, moved_hits = E.projected_references(spec, cams, zs)
+    assert not np.array_equal(moved_refs[3], refs[3])
+    E._REFERENCE_MEMO.clear()
+    fresh_refs, fresh_hits = E.projected_references(spec, cams, zs)
+    for a, b in zip(moved_refs + moved_hits, fresh_refs + fresh_hits):
+        assert np.array_equal(a, b)
+
+
 # -- encoder stack --
 
 def enc_cfg(n_layers=3):

@@ -186,3 +186,14 @@ def test_grad_misc_ops(rng):
     check_gradients(lambda a: T.tsum(T.mul(a[1:3], a[1:3])), [y])
     check_gradients(lambda a: T.tmean(T.mul(T.max_pool2d(T.reshape(a, (1, 4, 3)), 2, 1),
                                             T.max_pool2d(T.reshape(a, (1, 4, 3)), 2, 1))), [y])
+
+
+def test_scatter_rows_forward_and_gradcheck(rng):
+    idx = np.array([4, 0, 2])
+    x = rng.standard_normal((3, 2))
+    out = T.scatter_rows(T.Tensor(x), idx, 6).data
+    assert np.array_equal(out[idx], x)
+    assert not out[[1, 3, 5]].any()
+    w = rng.standard_normal((6, 2))
+    check_gradients(lambda a: T.tsum(T.mul(T.mul(y := T.scatter_rows(a, idx, 6), y),
+                                           T.Tensor(w))), [x])

@@ -70,6 +70,25 @@ def test_adam_non_finite_gradient():
         TR.adam_step(params, {"bad/w": np.array([np.inf])}, state, lr=0.1)
 
 
+def test_adam_non_finite_gradient_leaves_state_unchanged(rng):
+    params = {"a": rng.standard_normal(3), "b": rng.standard_normal((2, 2)),
+              "z": rng.standard_normal(2)}
+    state = TR.init_adam_state(params)
+    TR.adam_step(params, {k: rng.standard_normal(v.shape) for k, v in params.items()},
+                 state, lr=0.1)
+    before = {k: v.copy() for k, v in params.items()}
+    m, v = ({k: a.copy() for k, a in state[s].items()} for s in ("m", "v"))
+    grads = {k: rng.standard_normal(a.shape) for k, a in params.items()}
+    grads["z"][1] = np.nan   # the last name in sorted order
+    with pytest.raises(TR.NonFiniteGradientError, match="z"):
+        TR.adam_step(params, grads, state, lr=0.1)
+    assert state["step"] == 1
+    for k in params:
+        assert np.array_equal(params[k], before[k])
+        assert np.array_equal(state["m"][k], m[k])
+        assert np.array_equal(state["v"][k], v[k])
+
+
 def test_clip_global_norm(rng):
     grads = {"a": rng.standard_normal(10) * 100, "b": rng.standard_normal(5) * 100}
     TR.clip_global_norm(grads, 35.0)
@@ -143,6 +162,32 @@ def test_checkpoint_truncated(tmp_path, rng):
     data = open(path, "rb").read()
     open(path, "wb").write(data[:-20])
     with pytest.raises(TR.CheckpointError, match="truncated"):
+        TR.load_checkpoint(path)
+
+
+def _small_checkpoint(tmp_path, rng):
+    path = str(tmp_path / "ck.bin")
+    params = {"a/w": rng.standard_normal((2, 3)), "b": rng.standard_normal(4)}
+    TR.save_checkpoint(path, micro_cfg(), params, TR.init_adam_state(params),
+                       np.random.default_rng(0), 1, 2, 3.0)
+    with open(path, "rb") as f:
+        return path, f.read()
+
+
+def test_checkpoint_truncated_at_every_offset(tmp_path, rng):
+    path, data = _small_checkpoint(tmp_path, rng)
+    for cut in range(len(data)):
+        with open(path, "wb") as f:
+            f.write(data[:cut])
+        with pytest.raises(TR.CheckpointError):
+            TR.load_checkpoint(path)
+
+
+def test_checkpoint_trailing_bytes(tmp_path, rng):
+    path, data = _small_checkpoint(tmp_path, rng)
+    with open(path, "ab") as f:
+        f.write(b"\0")
+    with pytest.raises(TR.CheckpointError, match="trailing"):
         TR.load_checkpoint(path)
 
 
