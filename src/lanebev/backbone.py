@@ -47,10 +47,6 @@ class BackboneConfig:
         if len(self.stage_block_counts) != 4 or any(n < 1 for n in self.stage_block_counts):
             raise ConfigError(f"need 4 positive stage block counts, got {self.stage_block_counts}")
 
-    @property
-    def output_stride(self) -> int:
-        return 32 if self.stem_kind == "full" else 16
-
 
 BACKBONE_PRESETS = {
     # full-resolution shapes used for FLOPs accounting only
@@ -100,19 +96,15 @@ class BackbonePlan:
                     yield block.downsample
 
 
-def _out_dim(n, k, stride, pad):
-    return (n + 2 * pad - k) // stride + 1
-
-
 def build_plan(cfg: BackboneConfig) -> BackbonePlan:
     c, h, w = cfg.input_shape
     if cfg.stem_kind == "full":
-        h1, w1 = _out_dim(h, 7, 2, 3), _out_dim(w, 7, 2, 3)
+        h1, w1 = T.conv_out_dim(h, 7, 2, 3), T.conv_out_dim(w, 7, 2, 3)
         stem = (ConvSpec("stem/conv", c, cfg.stem_channels, 7, 7, 2, 3, h1, w1),)
-        h, w = _out_dim(h1, 3, 2, 1), _out_dim(w1, 3, 2, 1)
+        h, w = T.conv_out_dim(h1, 3, 2, 1), T.conv_out_dim(w1, 3, 2, 1)
         pool = True
     else:
-        h, w = _out_dim(h, 3, 2, 1), _out_dim(w, 3, 2, 1)
+        h, w = T.conv_out_dim(h, 3, 2, 1), T.conv_out_dim(w, 3, 2, 1)
         stem = (ConvSpec("stem/conv", c, cfg.stem_channels, 3, 3, 2, 1, h, w),)
         pool = False
 
@@ -125,7 +117,7 @@ def build_plan(cfg: BackboneConfig) -> BackbonePlan:
         blocks = []
         for b in range(count):
             stride = 2 if (s > 0 and b == 0) else 1
-            h, w = _out_dim(h, 1, stride, 0), _out_dim(w, 1, stride, 0)
+            h, w = T.conv_out_dim(h, 1, stride, 0), T.conv_out_dim(w, 1, stride, 0)
             prefix = f"stage{s}/block{b}"
             if cfg.block_kind == "bottleneck":
                 # stride taken by the first 1x1 (original downsampling placement)

@@ -18,15 +18,6 @@ from .backbone import ConfigError
 from .dataset import Camera
 from .tensor import Tensor
 
-# instrumentation: forward sub-block invocation counts, reset by tests
-OP_COUNTS = {"tsa": 0, "sca": 0, "ffn": 0, "dec_self_attn": 0, "dec_cross_attn": 0, "dec_ffn": 0}
-
-
-def reset_op_counts():
-    for k in OP_COUNTS:
-        OP_COUNTS[k] = 0
-
-
 @dataclass(frozen=True)
 class BEVGridSpec:
     """Row-major H x W grid over a metric, ego-centered extent.
@@ -57,11 +48,6 @@ class BEVGridSpec:
         v = (pts[..., 0] - self.x_min) / (self.x_max - self.x_min)
         return np.stack([u, v], axis=-1)
 
-    def to_metric(self, uv: np.ndarray) -> np.ndarray:
-        x = self.x_min + uv[..., 1] * (self.x_max - self.x_min)
-        y = self.y_min + uv[..., 0] * (self.y_max - self.y_min)
-        return np.stack([x, y], axis=-1)
-
 
 @dataclass
 class BEVGrid:
@@ -90,11 +76,6 @@ class EgoMotion:
     def matrix(self) -> np.ndarray:
         c, s = np.cos(self.dyaw), np.sin(self.dyaw)
         return np.array([[c, -s], [s, c]])
-
-    def inverse(self) -> "EgoMotion":
-        r = self.matrix()
-        t = -r.T @ np.array([self.dx, self.dy])
-        return EgoMotion(float(t[0]), float(t[1]), -self.dyaw)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +194,6 @@ def temporal_self_attention(bev: BEVGrid, history: BEVGrid | None, motion: EgoMo
     With no history (sequence start) the grid attends to itself only.
     Residual connection applied; normalization is the caller's concern.
     """
-    OP_COUNTS["tsa"] += 1
     spec = bev.spec
     if history is not None and history.spec != spec:
         raise T.DimensionError(f"history grid {history.spec} != current grid {spec}")
@@ -294,7 +274,6 @@ def spatial_cross_attention(bev: BEVGrid, pv_features, cameras, params, prefix,
     over hit (view, height) pairs; cells without any hit pass through
     unchanged via the residual connection.
     """
-    OP_COUNTS["sca"] += 1
     spec = bev.spec
     if len(pv_features) != len(cameras):
         raise T.DimensionError(f"{len(pv_features)} feature maps vs {len(cameras)} cameras")
@@ -365,7 +344,6 @@ def encode(pv_features, cameras, history: BEVGrid | None, motion: EgoMotion,
         x = spatial_cross_attention(x, pv_features, cameras, params, p + "/sca",
                                     cfg.n_heads, cfg.n_sample_points, zs=zs, query_pos=pos)
         x = BEVGrid(run_layer_norm(x.emb, params, p + "/ln1"), spec)
-        OP_COUNTS["ffn"] += 1
         x = BEVGrid(run_layer_norm(T.add(x.emb, run_ffn(x.emb, params, p + "/ffn")),
                                    params, p + "/ln2"), spec)
     return x

@@ -15,8 +15,7 @@ from .config import ConfigFileError, ExperimentConfig, load_config
 from .dataset import generate_scene, load_dataset, save_dataset, scenario_for_seed
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, predict_scene
-from .trainer import (ConfigHashMismatchError, format_suite_table, load_checkpoint,
-                      run_experiment_suite, train)
+from .trainer import format_suite_table, restore_checkpoint, run_experiment_suite, train
 
 
 class UsageError(ValueError):
@@ -93,14 +92,6 @@ def cmd_resume(args):
     print(f"resumed to epoch {cfg.epochs}, {len(log.steps)} new steps")
 
 
-def _restore_params(checkpoint_path, cfg):
-    ck = load_checkpoint(checkpoint_path)
-    if ck["config_hash"] != cfg.config_hash():
-        raise ConfigHashMismatchError(
-            f"checkpoint hash {ck['config_hash']} != config hash {cfg.config_hash()}")
-    return ck["params"]
-
-
 def cmd_eval(args):
     cfg = _load_cfg(args, dataset_dir=args.data)
     scenes = _scenes_for_split(args.data, args.split)
@@ -111,7 +102,7 @@ def cmd_eval(args):
     else:
         if not args.checkpoint:
             raise UsageError("eval needs --checkpoint (or --oracle)")
-        params = _restore_params(args.checkpoint, cfg)
+        params = restore_checkpoint(args.checkpoint, cfg)["params"]
         preds = {}
         for sc in scenes:
             preds.update(predict_scene(sc, params, cfg))
@@ -168,7 +159,7 @@ def cmd_viz(args):
     scene = scenes[args.scene]
     preds_by_frame = None
     if args.checkpoint:
-        params = _restore_params(args.checkpoint, cfg)
+        params = restore_checkpoint(args.checkpoint, cfg)["params"]
         preds_by_frame = predict_scene(scene, params, cfg)
     from .viz import render_frame_svg, validate_svg
     extent = (cfg.bev_x_min, cfg.bev_x_max, cfg.bev_y_min, cfg.bev_y_max)

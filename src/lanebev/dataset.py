@@ -457,11 +457,13 @@ def _read_pgm(path):
         if fields[0] != b"P5":
             raise ParseError(path, 0, f"not a binary PGM (magic {fields[0]!r})")
         w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        if not 1 <= maxval <= 255:
+            raise ParseError(path, start, f"PGM maxval {maxval} outside 1..255")
         pos += 1  # single whitespace after maxval
         pixels = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8)
         if pixels.size != w * h:
             raise ParseError(path, pos, f"truncated pixel data: {pixels.size} of {w * h} bytes")
-        return pixels.reshape(h, w).astype(np.float64) / 255.0
+        return pixels.reshape(h, w).astype(np.float64) / maxval
     except (ValueError, IndexError) as e:
         raise ParseError(path, 0, f"malformed PGM header: {e}") from None
 
@@ -520,6 +522,8 @@ def _parse_annotations(path):
                 meta = (parts[1], int(parts[2]), int(parts[3]))
             elif parts[0] == "CAM":
                 k = int(parts[1])
+                if k not in range(len(CAMERA_ORDER)):
+                    raise ValueError(f"CAM index {k} outside 0..{len(CAMERA_ORDER) - 1}")
                 vals = [float(v) for v in parts[2:]]
                 if len(vals) != 16:
                     raise ValueError(f"CAM needs 16 floats, got {len(vals)}")

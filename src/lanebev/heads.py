@@ -109,27 +109,10 @@ def _softmax_np(logits):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _mean_point_l1(a, b):
-    """Mean over points of the per-point L1 distance |dx| + |dy|."""
-    return float(np.abs(a - b).sum(axis=-1).mean())
-
-
-def match_cost(pred: LaneSegment, gt: LaneSegment, cfg) -> float:
-    """Pairwise matching cost between one prediction and one groundtruth."""
-    score = pred.score if pred.class_id == gt.class_id else 0.0
-    bnd = 0.5 * (_mean_point_l1(pred.left_boundary, gt.left_boundary)
-                 + _mean_point_l1(pred.right_boundary, gt.right_boundary))
-    return (cfg.lambda_cls * (-score)
-            + cfg.lambda_pts * _mean_point_l1(pred.centerline, gt.centerline)
-            + cfg.lambda_bnd * bnd)
-
-
 def cost_matrix(out: HeadOutput, gts: list[LaneSegment], cfg) -> np.ndarray:
-    """[G, N_q] matching costs from detached head outputs.
-
-    Unlike the LaneSegment-level match_cost this reads the prediction's
-    score for the groundtruth class directly from the softmax row.
-    """
+    """[G, N_q] matching costs from detached head outputs: minus the softmax
+    probability of the groundtruth class, plus the mean per-point L1
+    distances of the centerline and of the two boundaries."""
     scores = _softmax_np(out.cls_logits.data)
     center, left, right = out.centerline.data, out.left.data, out.right.data
     rows = []

@@ -11,9 +11,9 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import ConfigError
-from .bev_encoder import (OP_COUNTS, BEVGrid, deformable_attention, init_deform_attn,
-                          init_ffn, init_layer_norm, init_linear, map_from_rows,
-                          run_ffn, run_layer_norm, run_linear, _p)
+from .bev_encoder import (BEVGrid, deformable_attention, init_deform_attn, init_ffn,
+                          init_layer_norm, init_linear, map_from_rows, run_ffn,
+                          run_layer_norm, run_linear, _p)
 from .tensor import Tensor
 
 SELF_ATTN_HEADS = 8  # fixed by the architecture this follows
@@ -81,15 +81,12 @@ def decoder_layer(q: LaneQuerySet, bev: BEVGrid, params, prefix, n_heads: int,
     query's reference point -> FFN, all residual + layer-normed; finally the
     refinement head shifts the reference logits (zero-initialized, so an
     untrained layer leaves them unchanged)."""
-    OP_COUNTS["dec_self_attn"] += 1
     x = run_layer_norm(T.add(q.emb, self_attention(q.emb, params, prefix + "/sa")),
                        params, prefix + "/ln0")
-    OP_COUNTS["dec_cross_attn"] += 1
     bev_map = map_from_rows(bev.emb, bev.spec.h, bev.spec.w)
     refs = T.sigmoid(q.ref_logits)
     cross = deformable_attention(x, refs, bev_map, params, prefix + "/ca", n_heads, n_points)
     x = run_layer_norm(T.add(x, cross), params, prefix + "/ln1")
-    OP_COUNTS["dec_ffn"] += 1
     x = run_layer_norm(T.add(x, run_ffn(x, params, prefix + "/ffn")), params, prefix + "/ln2")
     delta = run_linear(T.relu(run_linear(x, params, prefix + "/refine/fc0")),
                        params, prefix + "/refine/fc1")

@@ -35,12 +35,11 @@ def forward_frame(images, cameras, history: BEVGrid | None, motion: EgoMotion,
                   params, cfg):
     """One frame through the whole pipeline.
 
-    Returns (per-decoder-layer HeadOutputs, BEV grid for history threading).
+    Returns (per-decoder-layer LaneQuerySets, BEV grid for history threading).
     """
     feats = extract_features(images, backbone_config(cfg), params)
     bev = encode(feats, cameras, history, motion, cfg.n_encoder_layers, params, cfg)
-    qsets = decode(initial_queries(params), bev, cfg.n_decoder_layers, params, cfg)
-    return [head_outputs(q, params, cfg) for q in qsets], bev
+    return decode(initial_queries(params), bev, cfg.n_decoder_layers, params, cfg), bev
 
 
 def _frame_motion(scene, t) -> EgoMotion:
@@ -49,21 +48,27 @@ def _frame_motion(scene, t) -> EgoMotion:
     return EgoMotion.from_poses(scene.frames[t - 1].ego_pose, scene.frames[t].ego_pose)
 
 
-def scene_loss(scene, params, cfg):
-    """Mean loss over a scene's frames, threading the history BEV.
+def _run_scene(scene, params, cfg):
+    """Yields each frame's per-decoder-layer query sets, threading the BEV.
 
     The history is detached between frames: gradients never flow across
     timesteps, only through the current frame's encoder pass.
     """
     history = None
-    losses, parts_acc = [], []
     for t, frame in enumerate(scene.frames):
-        outs, bev = forward_frame(frame.images, frame.cameras, history,
-                                  _frame_motion(scene, t), params, cfg)
-        loss_t, parts = total_loss(outs, scene.groundtruth[t], cfg)
+        qsets, bev = forward_frame(frame.images, frame.cameras, history,
+                                   _frame_motion(scene, t), params, cfg)
+        yield qsets
+        history = BEVGrid(bev.emb.detach(), bev.spec)
+
+
+def scene_loss(scene, params, cfg):
+    """Mean deep-supervised loss over a scene's frames."""
+    losses, parts_acc = [], []
+    for qsets, gts in zip(_run_scene(scene, params, cfg), scene.groundtruth):
+        loss_t, parts = total_loss([head_outputs(q, params, cfg) for q in qsets], gts, cfg)
         losses.append(loss_t)
         parts_acc.append(parts)
-        history = BEVGrid(bev.emb.detach(), bev.spec)
     loss = T.mul(T.tsum(T.stack(losses)), T.Tensor(1.0 / len(losses)))
     breakdown = {k: float(np.mean([p[k] for p in parts_acc])) for k in parts_acc[0]}
     breakdown["loss_total"] = float(loss.data)
@@ -72,16 +77,8 @@ def scene_loss(scene, params, cfg):
 
 def predict_scene(scene, params, cfg) -> dict:
     """Final-layer predictions per frame, keyed '<scene>/frame_<t>'."""
-    history = None
-    out = {}
-    for t, frame in enumerate(scene.frames):
-        feats = extract_features(frame.images, backbone_config(cfg), params)
-        bev = encode(feats, frame.cameras, history, _frame_motion(scene, t),
-                     cfg.n_encoder_layers, params, cfg)
-        q = decode(initial_queries(params), bev, cfg.n_decoder_layers, params, cfg)[-1]
-        out[f"{scene.scene_id}/frame_{t}"] = predict(q, params, cfg)
-        history = BEVGrid(bev.emb.detach(), bev.spec)
-    return out
+    return {f"{scene.scene_id}/frame_{t}": predict(qsets[-1], params, cfg)
+            for t, qsets in enumerate(_run_scene(scene, params, cfg))}
 
 
 def groundtruth_by_frame(scenes) -> dict:

@@ -505,7 +505,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 # convolution / pooling
 
 
-def _conv_out_dim(n, k, stride, pad):
+def conv_out_dim(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
 
 
@@ -522,8 +522,8 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
-    hout = _conv_out_dim(h, kh, stride, padding)
-    wout = _conv_out_dim(w, kw, stride, padding)
+    hout = conv_out_dim(h, kh, stride, padding)
+    wout = conv_out_dim(w, kw, stride, padding)
 
     xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
@@ -560,8 +560,8 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
         xd = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)),
                     constant_values=-np.inf)
     nb, c, h, w = xd.shape
-    hout = _conv_out_dim(h, k, stride, 0)
-    wout = _conv_out_dim(w, k, stride, 0)
+    hout = conv_out_dim(h, k, stride, 0)
+    wout = conv_out_dim(w, k, stride, 0)
     win = np.lib.stride_tricks.sliding_window_view(xd, (k, k), axis=(2, 3))
     win = win[:, :, ::stride, ::stride][:, :, :hout, :wout]
     flat = win.reshape(nb, c, hout, wout, k * k)

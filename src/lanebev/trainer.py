@@ -23,6 +23,7 @@ from .tensor import Tape
 
 CHECKPOINT_MAGIC = b"LBCK"
 CHECKPOINT_VERSION = 1
+RNG_STATE_BYTES = 60   # PCG64 tag, state, increment, has_uint32, uinteger
 
 
 class NonFiniteGradientError(FloatingPointError):
@@ -137,8 +138,12 @@ def _unpack(f, fmt):
     return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt)))
 
 
-def _read_bytes(f):
+def _read_bytes(f, size):
+    """A length-prefixed byte string; size is the whole file's length."""
     (n,) = _unpack(f, "<Q")
+    left = size - f.tell()
+    if n > left:
+        raise CheckpointError(f"truncated checkpoint: length prefix {n} > {left} bytes left")
     return _read_exact(f, n)
 
 
@@ -151,11 +156,11 @@ def _write_array(f, name, arr):
     _write_bytes(f, arr.astype("<f8").tobytes())
 
 
-def _read_array(f):
-    name = _read_bytes(f).decode()
+def _read_array(f, size):
+    name = _read_bytes(f, size).decode()
     (ndim,) = _unpack(f, "<I")
     shape = tuple(_unpack(f, "<Q")[0] for _ in range(ndim))
-    data = np.frombuffer(_read_bytes(f), dtype="<f8").reshape(shape)
+    data = np.frombuffer(_read_bytes(f, size), dtype="<f8").reshape(shape)
     return name, data.copy()
 
 
@@ -170,6 +175,8 @@ def _rng_state_bytes(rng) -> bytes:
 
 
 def _rng_from_bytes(b) -> np.random.Generator:
+    if len(b) != RNG_STATE_BYTES:
+        raise CheckpointError(f"RNG state is {len(b)} bytes, expected {RNG_STATE_BYTES}")
     kind = struct.unpack_from("<16s", b)[0].rstrip(b"\0")
     if kind != b"PCG64":
         raise CheckpointError(f"unsupported RNG {kind!r}")
@@ -201,24 +208,34 @@ def save_checkpoint(path, cfg, params, adam, rng, epoch, step, wall_seconds):
 
 def load_checkpoint(path):
     with open(path, "rb") as f:
+        size = os.fstat(f.fileno()).st_size
         if f.read(4) != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: not a checkpoint file")
         (version,) = _unpack(f, "<I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        cfg_hash = _read_bytes(f).decode()
+        cfg_hash = _read_bytes(f, size).decode()
         epoch, step, wall = _unpack(f, "<QQd")
-        rng = _rng_from_bytes(_read_bytes(f))
+        rng = _rng_from_bytes(_read_bytes(f, size))
         sections = []
         for _ in range(3):
             (n,) = _unpack(f, "<Q")
-            sections.append(dict(_read_array(f) for _ in range(n)))
+            sections.append(dict(_read_array(f, size) for _ in range(n)))
         (adam_t,) = _unpack(f, "<Q")
         if f.read(1):
             raise CheckpointError(f"{path}: trailing bytes after the checkpoint")
     adam = {"step": adam_t, "m": sections[1], "v": sections[2]}
     return {"config_hash": cfg_hash, "epoch": epoch, "step": step,
             "wall_seconds": wall, "rng": rng, "params": sections[0], "adam": adam}
+
+
+def restore_checkpoint(path, cfg):
+    """load_checkpoint, refusing a checkpoint saved under another config."""
+    ck = load_checkpoint(path)
+    if ck["config_hash"] != cfg.config_hash():
+        raise ConfigHashMismatchError(
+            f"checkpoint hash {ck['config_hash']} != config hash {cfg.config_hash()}")
+    return ck
 
 
 # ---------------------------------------------------------------------------
@@ -257,10 +274,7 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
         raise ValueError("dataset is empty")
     scenes = sorted(scenes, key=lambda s: s.scene_id)
     if resume_from is not None:
-        ck = load_checkpoint(resume_from)
-        if ck["config_hash"] != cfg.config_hash():
-            raise ConfigHashMismatchError(
-                f"checkpoint hash {ck['config_hash']} != config hash {cfg.config_hash()}")
+        ck = restore_checkpoint(resume_from, cfg)
         params = ck["params"]
         adam = init_adam_state(params) if drop_optimizer_state else ck["adam"]
         rng = np.random.default_rng(cfg.seed) if drop_rng_state else ck["rng"]

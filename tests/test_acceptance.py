@@ -16,15 +16,15 @@ import numpy as np
 import pytest
 
 from gradcheck import check_gradients
+from lanebev import bev_encoder as E
 from lanebev import dataset as D
 from lanebev import lane_decoder as L
 from lanebev import model as M
 from lanebev import tensor as T
 from lanebev import trainer as TR
 from lanebev.backbone import BACKBONE_PRESETS, count_macs
-from lanebev.bev_encoder import (OP_COUNTS, EgoMotion, deformable_attention,
-                                 init_deform_attn, init_encoder_params, encode,
-                                 reset_op_counts)
+from lanebev.bev_encoder import (EgoMotion, deformable_attention, init_deform_attn,
+                                 init_encoder_params, encode)
 from lanebev.config import ExperimentConfig, preset_config
 from lanebev.evaluation import chamfer_distance, evaluate
 from lanebev.heads import hungarian_match
@@ -254,10 +254,12 @@ def test_criterion_3_oracle_equivalence():
     assert report(3, "oracle equivalence", ok, "; ".join(notes) + f"; {elapsed:.1f} s")
 
 
-def test_criterion_4_architecture_shapes():
+def test_criterion_4_architecture_shapes(count_calls):
     rng = np.random.default_rng(4)
     notes = []
     ok = True
+    count_calls(E, "temporal_self_attention", "spatial_cross_attention", "run_ffn")
+    counts = count_calls(L, "self_attention", "deformable_attention")
     for enc_n, dec_n in ((3, 6), (2, 4), (4, 8)):
         cfg = ExperimentConfig(embed_dim=16, n_heads=2, n_sample_points=2,
                                n_pillar_heights=2, ffn_dim=16, n_encoder_layers=enc_n,
@@ -265,15 +267,16 @@ def test_criterion_4_architecture_shapes():
         params = {}
         init_encoder_params(params, cfg, 6, rng)
         init_decoder_params(params, cfg, rng)
-        reset_op_counts()
+        counts.clear()
         cams = D.build_camera_rig()
         feats = [T.Tensor(rng.standard_normal((6, 4, 6)))] * 7
         bev = encode(feats, cams, None, EgoMotion(), enc_n, params, cfg)
         layers = decode(initial_queries(params), bev, dec_n, params, cfg)
-        counts_ok = (OP_COUNTS["tsa"] == enc_n and OP_COUNTS["sca"] == enc_n
-                     and OP_COUNTS["ffn"] == enc_n
-                     and OP_COUNTS["dec_self_attn"] == dec_n
-                     and OP_COUNTS["dec_cross_attn"] == dec_n
+        counts_ok = (counts["bev_encoder.temporal_self_attention"] == enc_n
+                     and counts["bev_encoder.spatial_cross_attention"] == enc_n
+                     and counts["bev_encoder.run_ffn"] == enc_n
+                     and counts["lane_decoder.self_attention"] == dec_n
+                     and counts["lane_decoder.deformable_attention"] == dec_n
                      and len(layers) == dec_n)
         refs = layers[-1].reference_points().data
         refs_ok = bool((refs > 0).all() and (refs < 1).all())

@@ -32,6 +32,17 @@ def test_invalid_layer_counts():
         ExperimentConfig(embed_dim=30, n_heads=5)
 
 
+@pytest.mark.parametrize("bad", [
+    {"bev_h": 0}, {"bev_w": -2}, {"n_queries": 0}, {"n_sample_points": 0},
+    {"bev_x_min": 5.0, "bev_x_max": 5.0}, {"bev_x_min": 6.0, "bev_x_max": -6.0},
+    {"bev_y_min": 1.0, "bev_y_max": 1.0}, {"bev_y_min": 3.0, "bev_y_max": -3.0},
+    {"learning_rate": 0.0}, {"learning_rate": -1e-3}, {"learning_rate": float("nan")},
+])
+def test_out_of_range_fields_rejected(bad):
+    with pytest.raises(ConfigFileError):
+        ExperimentConfig(**bad)
+
+
 def test_config_file_round_trip(tmp_path):
     p = tmp_path / "exp.cfg"
     p.write_text("# comment\nembed_dim = 16\nlearning_rate = 1e-3  # inline\nbackbone = toy-shallow\n")

@@ -145,6 +145,34 @@ def test_missing_camera_file(tmp_path, scenes):
         D.load_dataset(tmp_path)
 
 
+def _edit_file(path, old, new):
+    data = path.read_bytes()
+    assert data.count(old) == 1
+    path.write_bytes(data.replace(old, new))
+    return data.index(old)
+
+
+@pytest.mark.parametrize("name, old, new", [
+    ("annotations.txt", b"\nCAM 6 ", b"\nCAM 7 "),     # an 8th camera slot
+    ("annotations.txt", b"\nCAM 0 ", b"\nCAM -1 "),
+    ("frame_0_cam_0.pgm", b"\n255\n", b"\n0\n"),
+    ("frame_1_cam_2.pgm", b"\n255\n", b"\n256\n"),
+    ("frame_1_cam_2.pgm", b"\n255\n", b"\n65535\n"),
+])
+def test_out_of_range_records_rejected(tmp_path, scenes, name, old, new):
+    D.save_dataset(scenes[:1], tmp_path)
+    at = _edit_file(tmp_path / scenes[0].scene_id / name, old, new)
+    with pytest.raises(D.ParseError, match=name) as err:
+        D.load_dataset(tmp_path)
+    assert err.value.offset == at + 1
+
+
+def test_pgm_scaled_by_maxval(tmp_path):
+    path = tmp_path / "img.pgm"
+    path.write_bytes(b"P5\n3 1\n100\n" + bytes([0, 50, 100]))
+    assert D._read_pgm(str(path)).tolist() == [[0.0, 0.5, 1.0]]
+
+
 def test_camera_order_fixed(scenes):
     names = tuple(c.name for c in scenes[0].frames[0].cameras)
     assert names == D.CAMERA_ORDER

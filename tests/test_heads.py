@@ -170,42 +170,89 @@ def test_match_non_finite():
 # -- match cost --
 
 
+def _mean_point_l1(a, b):
+    """Mean over points of the per-point L1 distance |dx| + |dy|."""
+    return float(np.abs(a - b).sum(axis=-1).mean())
+
+
+def match_cost(pred: LaneSegment, gt: LaneSegment, cfg) -> float:
+    """Per-pair oracle of one cost_matrix entry."""
+    score = pred.score if pred.class_id == gt.class_id else 0.0
+    bnd = 0.5 * (_mean_point_l1(pred.left_boundary, gt.left_boundary)
+                 + _mean_point_l1(pred.right_boundary, gt.right_boundary))
+    return (cfg.lambda_cls * (-score)
+            + cfg.lambda_pts * _mean_point_l1(pred.centerline, gt.centerline)
+            + cfg.lambda_bnd * bnd)
+
+
+def segments_as_outputs(preds, logits):
+    """HeadOutput whose query i is preds[i], with the given class logits."""
+    return H.HeadOutput(T.Tensor(np.asarray(logits, dtype=float)),
+                        *(T.Tensor(np.stack([getattr(s, k) for s in preds]))
+                          for k in ("centerline", "left_boundary", "right_boundary")))
+
+
+def oracle_costs(out, gts, cfg):
+    """[G, N_q] of match_cost, scoring each query by the softmax probability
+    of the groundtruth class."""
+    probs = H._softmax_np(out.cls_logits.data)
+    return np.array([[match_cost(LaneSegment(out.centerline.data[i], out.left.data[i],
+                                             out.right.data[i], gt.class_id,
+                                             probs[i, gt.class_id]), gt, cfg)
+                      for i in range(len(probs))] for gt in gts])
+
+
 def test_match_cost_perfect_pair():
     cfg = head_cfg()
     gt = straight_segment(0.0)
-    pred = straight_segment(0.0, score=1.0)
-    assert H.match_cost(pred, gt, cfg) == pytest.approx(-cfg.lambda_cls)
+    out = segments_as_outputs([gt], [[0.0, 40.0, 0.0]])
+    cost = H.cost_matrix(out, [gt], cfg)
+    assert cost == pytest.approx(oracle_costs(out, [gt], cfg), abs=1e-12)
+    assert cost[0, 0] == pytest.approx(-cfg.lambda_cls)
 
 
 def test_match_cost_l1_homogeneity():
     cfg = head_cfg()
-    gt = straight_segment(0.0, score=0.0)
-    pred = straight_segment(1.0, score=0.0)
-    base = H.match_cost(pred, gt, cfg)
+    gt = straight_segment(0.0)
+    pred = straight_segment(1.0)
+    logits = [[1.0, 0.5, -0.3]]
 
     def scale(seg, k):
         return LaneSegment(seg.centerline * k, seg.left_boundary * k,
                            seg.right_boundary * k, seg.class_id, seg.score)
 
-    assert H.match_cost(scale(pred, 2), scale(gt, 2), cfg) == pytest.approx(2 * base)
+    out, out2 = segments_as_outputs([pred], logits), segments_as_outputs([scale(pred, 2)], logits)
+    base = H.cost_matrix(out, [gt], cfg)
+    doubled = H.cost_matrix(out2, [scale(gt, 2)], cfg)
+    assert base == pytest.approx(oracle_costs(out, [gt], cfg), abs=1e-12)
+    assert doubled == pytest.approx(oracle_costs(out2, [scale(gt, 2)], cfg), abs=1e-12)
+    # the geometric terms are L1 distances; the class term does not scale
+    cls_term = cfg.lambda_cls * -H._softmax_np(np.array(logits))[0, gt.class_id]
+    assert doubled[0, 0] - cls_term == pytest.approx(2 * (base[0, 0] - cls_term))
 
 
 def test_match_cost_hand_computed(rng):
     cfg = head_cfg()
     p = 5
-    gt = LaneSegment(rng.standard_normal((p, 2)), rng.standard_normal((p, 2)),
-                     rng.standard_normal((p, 2)), CLASS_LANE)
-    pred = LaneSegment(rng.standard_normal((p, 2)), rng.standard_normal((p, 2)),
-                       rng.standard_normal((p, 2)), CLASS_LANE, score=0.7)
-    # independent recomputation, one scalar at a time
+    gts = [LaneSegment(rng.standard_normal((p, 2)), rng.standard_normal((p, 2)),
+                       rng.standard_normal((p, 2)), cls) for cls in (CLASS_LANE, CLASS_CROSSWALK)]
+    preds = [LaneSegment(rng.standard_normal((p, 2)), rng.standard_normal((p, 2)),
+                         rng.standard_normal((p, 2)), CLASS_LANE) for _ in range(cfg.n_queries)]
+    out = segments_as_outputs(preds, rng.standard_normal((cfg.n_queries, 3)))
+    cost = H.cost_matrix(out, gts, cfg)
+    assert cost.shape == (len(gts), cfg.n_queries)
+    assert cost == pytest.approx(oracle_costs(out, gts, cfg), abs=1e-12)
+    # independent recomputation of one entry, one scalar at a time
+    gt, pred = gts[1], preds[2]
+    score = H._softmax_np(out.cls_logits.data)[2, gt.class_id]
     acc_c = sum(abs(pred.centerline[i, k] - gt.centerline[i, k])
                 for i in range(p) for k in range(2)) / p
     acc_l = sum(abs(pred.left_boundary[i, k] - gt.left_boundary[i, k])
                 for i in range(p) for k in range(2)) / p
     acc_r = sum(abs(pred.right_boundary[i, k] - gt.right_boundary[i, k])
                 for i in range(p) for k in range(2)) / p
-    want = 2.0 * (-0.7) + 5.0 * acc_c + 2.5 * 0.5 * (acc_l + acc_r)
-    assert H.match_cost(pred, gt, cfg) == pytest.approx(want, abs=1e-12)
+    want = 2.0 * (-score) + 5.0 * acc_c + 2.5 * 0.5 * (acc_l + acc_r)
+    assert cost[1, 2] == pytest.approx(want, abs=1e-12)
 
 
 # -- total loss --

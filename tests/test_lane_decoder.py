@@ -132,15 +132,15 @@ def test_refinement_moves_references(rng):
 
 
 @pytest.mark.parametrize("n_dec", [4, 6, 8])
-def test_decode_returns_per_layer_outputs(n_dec, rng):
+def test_decode_returns_per_layer_outputs(n_dec, rng, count_calls):
     cfg = dec_cfg(n_dec)
     params = make_decoder(cfg, rng)
-    E.reset_op_counts()
+    counts = count_calls(L, "self_attention", "deformable_attention", "run_ffn")
     out = L.decode(L.initial_queries(params), make_bev(cfg, rng), n_dec, params, cfg)
     assert len(out) == n_dec
-    assert E.OP_COUNTS["dec_self_attn"] == n_dec
-    assert E.OP_COUNTS["dec_cross_attn"] == n_dec
-    assert E.OP_COUNTS["dec_ffn"] == n_dec
+    assert counts["lane_decoder.self_attention"] == n_dec
+    assert counts["lane_decoder.deformable_attention"] == n_dec
+    assert counts["lane_decoder.run_ffn"] == n_dec
     for q in out:
         assert q.emb.shape == (cfg.n_queries, cfg.embed_dim)
         assert q.ref_logits.shape == (cfg.n_queries, 2)

@@ -4,7 +4,7 @@ import pytest
 from lanebev import dataset as D
 from lanebev import model as M
 from lanebev import tensor as T
-from lanebev.bev_encoder import EgoMotion
+from lanebev.bev_encoder import BEVGrid, EgoMotion
 from lanebev.config import ExperimentConfig
 
 MICRO = dict(backbone="toy-shallow", embed_dim=16, n_heads=2, n_sample_points=2,
@@ -29,9 +29,10 @@ def params(cfg):
 
 def test_forward_frame_shapes(scene, cfg, params):
     frame = scene.frames[0]
-    outs, bev = M.forward_frame(frame.images, frame.cameras, None, EgoMotion(),
-                                params, cfg)
-    assert len(outs) == cfg.n_decoder_layers
+    qsets, bev = M.forward_frame(frame.images, frame.cameras, None, EgoMotion(),
+                                 params, cfg)
+    assert len(qsets) == cfg.n_decoder_layers
+    outs = [M.head_outputs(q, params, cfg) for q in qsets]
     assert outs[-1].cls_logits.shape == (cfg.n_queries, 3)
     assert outs[-1].centerline.shape == (cfg.n_queries, cfg.n_points, 2)
     assert bev.emb.shape == (cfg.bev_h * cfg.bev_w, cfg.embed_dim)
@@ -52,13 +53,14 @@ def test_history_changes_later_frames(scene, cfg, params):
     frame0, frame1 = scene.frames[0], scene.frames[1]
     _, bev0 = M.forward_frame(frame0.images, frame0.cameras, None, EgoMotion(),
                               params, cfg)
-    from lanebev.bev_encoder import BEVGrid
     hist = BEVGrid(bev0.emb.detach(), bev0.spec)
-    outs_hist, _ = M.forward_frame(frame1.images, frame1.cameras, hist,
-                                   M._frame_motion(scene, 1), params, cfg)
-    outs_cold, _ = M.forward_frame(frame1.images, frame1.cameras, None,
-                                   EgoMotion(), params, cfg)
-    assert not np.allclose(outs_hist[-1].cls_logits.data, outs_cold[-1].cls_logits.data)
+    qsets_hist, _ = M.forward_frame(frame1.images, frame1.cameras, hist,
+                                    M._frame_motion(scene, 1), params, cfg)
+    qsets_cold, _ = M.forward_frame(frame1.images, frame1.cameras, None,
+                                    EgoMotion(), params, cfg)
+    logits_hist = M.head_outputs(qsets_hist[-1], params, cfg).cls_logits.data
+    logits_cold = M.head_outputs(qsets_cold[-1], params, cfg).cls_logits.data
+    assert not np.allclose(logits_hist, logits_cold)
 
 
 def test_gradients_reach_every_stage(scene, cfg, params):
@@ -86,13 +88,12 @@ def test_loss_gradient_spot_check_finite_difference(scene, cfg, params):
     h = 1e-5
     # single frame: finite differences through a full scene would also flow
     # through the deliberately detached history BEV and disagree by design
-    from lanebev.heads import total_loss
-
     def frame_loss(p):
         frame = scene.frames[0]
-        outs, _ = M.forward_frame(frame.images, frame.cameras, None, EgoMotion(),
-                                  p, cfg)
-        return total_loss(outs, scene.groundtruth[0], cfg)[0]
+        qsets, _ = M.forward_frame(frame.images, frame.cameras, None, EgoMotion(),
+                                   p, cfg)
+        outs = [M.head_outputs(q, p, cfg) for q in qsets]
+        return M.total_loss(outs, scene.groundtruth[0], cfg)[0]
 
     tape = T.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
@@ -131,6 +132,28 @@ def test_predict_scene_keys(scene, cfg, params):
     assert set(preds) == {f"{scene.scene_id}/frame_{t}" for t in range(len(scene.frames))}
     for segs in preds.values():
         assert len(segs) == cfg.n_queries
+
+
+def test_scene_runner_matches_frames_threaded_by_hand(scene, cfg, params):
+    # one runner: scene_loss and predict_scene must equal forward_frame
+    # threaded frame by frame with a detached history
+    history, losses, preds = None, [], {}
+    for t, frame in enumerate(scene.frames):
+        qsets, bev = M.forward_frame(frame.images, frame.cameras, history,
+                                     M._frame_motion(scene, t), params, cfg)
+        outs = [M.head_outputs(q, params, cfg) for q in qsets]
+        losses.append(M.total_loss(outs, scene.groundtruth[t], cfg)[0].item())
+        preds[f"{scene.scene_id}/frame_{t}"] = M.predict(qsets[-1], params, cfg)
+        history = BEVGrid(bev.emb.detach(), bev.spec)
+    assert len(losses) == 2
+    assert M.scene_loss(scene, params, cfg)[0].item() == np.mean(losses)
+    got = M.predict_scene(scene, params, cfg)
+    assert list(got) == list(preds)
+    for key, segs in preds.items():
+        for a, b in zip(got[key], segs, strict=True):
+            assert (a.class_id, a.score) == (b.class_id, b.score)
+            for field in ("centerline", "left_boundary", "right_boundary"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
 
 
 def test_groundtruth_by_frame(scene):

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -189,6 +190,38 @@ def test_checkpoint_trailing_bytes(tmp_path, rng):
         f.write(b"\0")
     with pytest.raises(TR.CheckpointError, match="trailing"):
         TR.load_checkpoint(path)
+
+
+# header layout: magic (4), version (4), config-hash length (8) and hash
+# (64 hex digits), epoch/step/wall (24), RNG length (8) and RNG blob (60)
+HASH_LEN_AT = 8
+RNG_LEN_AT = HASH_LEN_AT + 8 + 64 + 24
+
+
+def test_checkpoint_corrupt_length_prefix(tmp_path, rng):
+    path, data = _small_checkpoint(tmp_path, rng)
+    with open(path, "wb") as f:
+        f.write(data[:HASH_LEN_AT] + struct.pack("<Q", 2 ** 62) + data[HASH_LEN_AT + 8:])
+    with pytest.raises(TR.CheckpointError, match="length prefix"):
+        TR.load_checkpoint(path)
+
+
+def test_checkpoint_short_rng_blob(tmp_path, rng):
+    path, data = _small_checkpoint(tmp_path, rng)
+    blob = RNG_LEN_AT + 8
+    assert struct.unpack_from("<Q", data, RNG_LEN_AT) == (60,)
+    with open(path, "wb") as f:
+        f.write(data[:RNG_LEN_AT] + struct.pack("<Q", 10) + data[blob:blob + 10]
+                + data[blob + 60:])
+    with pytest.raises(TR.CheckpointError, match="RNG state is 10 bytes"):
+        TR.load_checkpoint(path)
+
+
+def test_restore_checkpoint_checks_config_hash(tmp_path, rng):
+    path, _ = _small_checkpoint(tmp_path, rng)
+    assert TR.restore_checkpoint(path, micro_cfg(epochs=7))["step"] == 2
+    with pytest.raises(TR.ConfigHashMismatchError, match="hash"):
+        TR.restore_checkpoint(path, micro_cfg(seed=5))
 
 
 def test_checkpoint_bad_magic(tmp_path):
