@@ -142,6 +142,10 @@ def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params,
     reference point; bilinear-samples the projected value map there and
     mixes through the output projection.  Differentiable in queries, value
     map and (via the offsets) the sampling locations.
+
+    As in Deformable DETR, every head samples in one grouped
+    ``bilinear_sample`` call over a [heads, d_head, H, W] view of the value
+    map, with the points laid out head-major as [heads*N*K, 2].
     """
     n, dim = queries.shape
     if dim % n_heads != 0:
@@ -151,24 +155,21 @@ def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params,
 
     flat = T.reshape(T.transpose(value_map, (1, 2, 0)), (h * w, c))
     value = run_linear(flat, params, prefix + "/value")          # [H*W, D]
-    value_maps = map_from_rows(value, h, w)                      # [D, H, W]
+    value_maps = T.reshape(map_from_rows(value, h, w), (n_heads, d_head, h, w))
 
     refs = T._as_tensor(np.asarray(ref_points, dtype=np.float64)) \
         if not isinstance(ref_points, Tensor) else ref_points
     offsets = T.reshape(run_linear(queries, params, prefix + "/offset"),
                         (n, n_heads * n_points, 2))
     sample_pts = T.add(T.reshape(refs, (n, 1, 2)), offsets)      # [N, h*K, 2]
+    pts = T.transpose(T.reshape(sample_pts, (n, n_heads, n_points, 2)), (1, 0, 2, 3))
     logits = T.reshape(run_linear(queries, params, prefix + "/logit"), (n, n_heads, n_points))
-    attn = T.softmax(logits, axis=-1)                            # [N, h, K]
+    attn = T.transpose(T.softmax(logits, axis=-1), (1, 0, 2))    # [h, N, K]
 
-    head_outs = []
-    for hd in range(n_heads):
-        head_map = value_maps[hd * d_head:(hd + 1) * d_head]
-        pts = T.reshape(sample_pts[:, hd * n_points:(hd + 1) * n_points, :], (n * n_points, 2))
-        sampled = T.reshape(T.bilinear_sample(head_map, pts), (n, n_points, d_head))
-        weighted = T.tsum(T.mul(sampled, T.reshape(attn[:, hd, :], (n, n_points, 1))), axis=1)
-        head_outs.append(weighted)
-    mixed = T.concat(head_outs, axis=1)                          # [N, D]
+    sampled = T.bilinear_sample(value_maps, T.reshape(pts, (n_heads * n * n_points, 2)))
+    sampled = T.reshape(sampled, (n_heads, n, n_points, d_head))
+    weighted = T.tsum(T.mul(sampled, T.reshape(attn, (n_heads, n, n_points, 1))), axis=2)
+    mixed = T.reshape(T.transpose(weighted, (1, 0, 2)), (n, dim))  # [N, D]
     return run_linear(mixed, params, prefix + "/out")
 
 

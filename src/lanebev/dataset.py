@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segments import (CLASS_CROSSWALK, CLASS_LANE, LaneSegment, densify_polyline,
+from .segments import (CLASS_CROSSWALK, CLASS_LANE, CLASS_NAMES, LaneSegment, densify_polyline,
                        longest_run_inside, polyline_normals, resample_polyline)
 
 
@@ -532,6 +532,8 @@ def _parse_annotations(path):
                 egos[int(parts[1])] = (float(parts[2]), float(parts[3]), float(parts[4]))
             elif parts[0] == "SEG":
                 fr, cls, n = int(parts[1]), int(parts[2]), int(parts[3])
+                if cls not in CLASS_NAMES:
+                    raise ValueError(f"SEG class {cls} not in {sorted(CLASS_NAMES)}")
                 blob = " ".join(parts[4:])
                 chunks = [c.split() for c in blob.split("|")]
                 if len(chunks) != 3:

@@ -34,7 +34,7 @@ def set_debug_checks(enabled: bool):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "tape")
+    __slots__ = ("data", "grad", "requires_grad", "tape", "__weakref__")
 
     def __init__(self, data, requires_grad=False, tape=None):
         arr = np.asarray(data)
@@ -105,11 +105,14 @@ class Tape:
     """Ordered record of operations for one forward pass.
 
     Backward visits each recorded operation exactly once, in reverse
-    creation order.  A tape can be consumed by ``backward`` only once.
+    creation order, and drops each one as it runs: the graph's intermediate
+    arrays are freed during backward, not left to the cyclic collector.  A
+    tape can be consumed by ``backward`` only once.
     """
 
     def __init__(self):
         self._records = []
+        self._released = 0
         self._consumed = False
 
     def leaf(self, data, requires_grad=True):
@@ -118,7 +121,7 @@ class Tape:
 
     @property
     def num_ops(self):
-        return len(self._records)
+        return len(self._records) + self._released
 
     def _record(self, backward_fn):
         self._records.append(backward_fn)
@@ -132,8 +135,10 @@ class Tape:
             raise TapeError(f"backward requires a scalar loss, got shape {loss.data.shape}")
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
-        for fn in reversed(self._records):
-            fn()
+        records, self._records = self._records, []
+        self._released = len(records)
+        while records:
+            records.pop()()
 
 
 def _as_tensor(x):
@@ -387,9 +392,9 @@ def getitem(x: Tensor, idx) -> Tensor:
         def backward():
             if out.grad is None:
                 return
-            g = np.zeros_like(x.data)
-            np.add.at(g, idx, out.grad)
-            _accumulate(x, g)
+            flat = np.arange(x.data.size).reshape(x.data.shape)[idx].ravel()
+            g = np.bincount(flat, out.grad.ravel(), minlength=x.data.size)
+            _accumulate(x, g.reshape(x.data.shape))
         tape._record(backward)
     return out
 
@@ -573,10 +578,10 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
             if out.grad is None:
                 return
             g = out.grad[None] if squeeze else out.grad
-            gx = np.zeros(xd.shape, dtype=g.dtype)
             ki, kj = np.divmod(arg, k)
             nn, cc, ii, jj = np.indices(arg.shape)
-            np.add.at(gx, (nn, cc, ii * stride + ki, jj * stride + kj), g)
+            flat = np.ravel_multi_index((nn, cc, ii * stride + ki, jj * stride + kj), xd.shape)
+            gx = np.bincount(flat.ravel(), g.ravel(), minlength=xd.size).reshape(xd.shape)
             if padding:
                 gx = gx[:, :, padding:-padding, padding:-padding]
             _accumulate(x, gx[0] if squeeze else gx)
@@ -591,16 +596,19 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
 def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     """Sample value_map[C,H,W] at normalized points[N,2] = (u,v) in [0,1]^2.
 
-    Align-corners-false: pixel (r, c) center sits at u=(c+0.5)/W, v=(r+0.5)/H.
-    Points outside the unit square return zeros; neighbours outside the map
-    contribute zero (border-zero policy).  Differentiable in both the map
-    values and the point coordinates.
+    A grouped map [G,C,H,W] takes points [G*N,2]: rows g*N:(g+1)*N sample
+    group g, and the output is [G*N,C] (deformable attention passes its
+    heads as groups).  Align-corners-false: pixel (r, c) center sits at
+    u=(c+0.5)/W, v=(r+0.5)/H.  Points outside the unit square return zeros;
+    neighbours outside the map contribute zero (border-zero policy).
+    Differentiable in both the map values and the point coordinates.
     """
-    if value_map.ndim != 3:
-        raise DimensionError(f"bilinear_sample expects a [C,H,W] map, got {value_map.shape}")
-    if points.ndim != 2 or points.shape[1] != 2:
-        raise DimensionError(f"points must be [N,2], got {points.shape}")
-    c, h, w = value_map.shape
+    if value_map.ndim not in (3, 4):
+        raise DimensionError(f"bilinear_sample expects a [(G,)C,H,W] map, got {value_map.shape}")
+    maps = value_map.data if value_map.ndim == 4 else value_map.data[None]
+    groups, c, h, w = maps.shape
+    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] % groups:
+        raise DimensionError(f"points must be [G*N,2] for {groups} groups, got {points.shape}")
     n = points.shape[0]
     u = points.data[:, 0]
     v = points.data[:, 1]
@@ -616,21 +624,18 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     wx = xf - x0
     wy = yf - y0
 
-    flat_map = value_map.data.reshape(c, h * w)
-    corners = []
-    for dy in (0, 1):
-        for dx in (0, 1):
-            xi = x0 + dx
-            yi = y0 + dy
-            valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-            flat = np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-            val = flat_map[:, flat].T * valid[:, None]  # [n_in, C]
-            wgt = (wx if dx else 1.0 - wx) * (wy if dy else 1.0 - wy)
-            corners.append((val, wgt, flat, valid, dx, dy))
+    # the four corners, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
+    dx, dy = np.array([[0], [1], [0], [1]]), np.array([[0], [0], [1], [1]])
+    xi, yi = x0 + dx, y0 + dy
+    valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
+    cell = (idx_in // (n // groups)) * (h * w) + np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
+    val = maps.transpose(0, 2, 3, 1).reshape(-1, c)[cell] * valid[..., None]  # [4, n_in, C]
+    wxs = np.where(dx, wx, 1.0 - wx)
+    wys = np.where(dy, wy, 1.0 - wy)
+    wgt = wxs * wys
 
-    result = np.zeros((n, c), dtype=value_map.data.dtype)
-    for val, wgt, *_ in corners:
-        result[idx_in] += val * wgt[:, None]
+    result = np.zeros((n, c), dtype=maps.dtype)
+    result[idx_in] = (val * wgt[..., None]).sum(axis=0)
 
     out, tape = _make_out(result, (value_map, points))
     if tape:
@@ -639,23 +644,18 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
                 return
             g = out.grad[idx_in]  # [n_in, C]
             if value_map.requires_grad or value_map.tape is not None:
-                gmap = np.zeros((c, h * w), dtype=value_map.data.dtype)
-                for val, wgt, flat, valid, dx, dy in corners:
-                    contrib = (g * (wgt * valid)[:, None]).T  # [C, n_in]
-                    np.add.at(gmap, (slice(None), flat), contrib)
-                _accumulate(value_map, gmap.reshape(c, h, w))
+                contrib = g * (wgt * valid)[..., None]  # [4, n_in, C]
+                bins = (cell[..., None] * c + np.arange(c)).ravel()  # flat (group, cell, channel)
+                gmap = np.bincount(bins, contrib.ravel(), minlength=maps.size)
+                gmap = gmap.reshape(groups, h, w, c).transpose(0, 3, 1, 2)
+                _accumulate(value_map, gmap.reshape(value_map.shape))
             if points.requires_grad or points.tape is not None:
-                gu = np.zeros(len(idx_in), dtype=points.data.dtype)
-                gv = np.zeros(len(idx_in), dtype=points.data.dtype)
-                for val, wgt, flat, valid, dx, dy in corners:
-                    dwx = (1.0 if dx else -1.0) * (wy if dy else 1.0 - wy)
-                    dwy = (1.0 if dy else -1.0) * (wx if dx else 1.0 - wx)
-                    dot = (g * val).sum(axis=1)
-                    gu += dot * dwx * w
-                    gv += dot * dwy * h
+                dot = (g * val).sum(axis=-1)  # [4, n_in]
+                dwx = np.where(dx, 1.0, -1.0) * wys
+                dwy = np.where(dy, 1.0, -1.0) * wxs
                 gpts = np.zeros_like(points.data)
-                gpts[idx_in, 0] = gu
-                gpts[idx_in, 1] = gv
+                gpts[idx_in, 0] = (dot * dwx * w).sum(axis=0)
+                gpts[idx_in, 1] = (dot * dwy * h).sum(axis=0)
                 _accumulate(points, gpts)
         tape._record(backward)
     return out

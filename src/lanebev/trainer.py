@@ -157,11 +157,14 @@ def _write_array(f, name, arr):
 
 
 def _read_array(f, size):
-    name = _read_bytes(f, size).decode()
+    name = _read_bytes(f, size)
     (ndim,) = _unpack(f, "<I")
     shape = tuple(_unpack(f, "<Q")[0] for _ in range(ndim))
-    data = np.frombuffer(_read_bytes(f, size), dtype="<f8").reshape(shape)
-    return name, data.copy()
+    data = np.frombuffer(_read_bytes(f, size), dtype="<f8")
+    try:  # a name that is not UTF-8, or a shape that does not fit the payload
+        return name.decode(), data.reshape(shape).copy()
+    except ValueError as e:
+        raise CheckpointError(f"corrupt array record: {e}") from None
 
 
 def _rng_state_bytes(rng) -> bytes:

@@ -155,6 +155,8 @@ def _edit_file(path, old, new):
 @pytest.mark.parametrize("name, old, new", [
     ("annotations.txt", b"\nCAM 6 ", b"\nCAM 7 "),     # an 8th camera slot
     ("annotations.txt", b"\nCAM 0 ", b"\nCAM -1 "),
+    ("annotations.txt", b"\nSEG 0 1 10 -22 -3.04", b"\nSEG 0 3 10 -22 -3.04"),  # no class 3
+    ("annotations.txt", b"\nSEG 0 1 10 -22 -3.04", b"\nSEG 0 -1 10 -22 -3.04"),
     ("frame_0_cam_0.pgm", b"\n255\n", b"\n0\n"),
     ("frame_1_cam_2.pgm", b"\n255\n", b"\n256\n"),
     ("frame_1_cam_2.pgm", b"\n255\n", b"\n65535\n"),

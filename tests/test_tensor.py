@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -82,6 +85,52 @@ def test_bilinear_outside_zero():
     assert np.array_equal(out.data, np.zeros((1, 2)))
 
 
+def _bilinear_with_grads(m, pts, w):
+    tape = T.Tape()
+    a, p = tape.leaf(m), tape.leaf(pts)
+    out = T.bilinear_sample(a, p)
+    tape.backward(T.tsum(T.mul(out, T.Tensor(w))))
+    return out.data, a.grad, p.grad
+
+
+def _map_grad_oracle(m, pts, g):
+    """Map gradient of sum(g * bilinear_sample(m, pts)), accumulated corner by
+    corner (00, 01, 10, 11) and within a corner in point order."""
+    c, h, w = m.shape
+    want = np.zeros((c, h, w))
+    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        for (u, v), gp in zip(pts, g):
+            xf, yf = u * w - 0.5, v * h - 0.5
+            x, y = int(np.floor(xf)) + dx, int(np.floor(yf)) + dy
+            if 0 <= u <= 1 and 0 <= v <= 1 and 0 <= x < w and 0 <= y < h:
+                wx, wy = xf - np.floor(xf), yf - np.floor(yf)
+                want[:, y, x] += gp * ((wx if dx else 1.0 - wx) * (wy if dy else 1.0 - wy))
+    return want
+
+
+def test_grouped_bilinear_matches_per_group_calls(rng):
+    g, c, n = 3, 2, 40
+    maps = rng.standard_normal((g, c, 4, 5))
+    pts = rng.uniform(-0.2, 1.2, size=(g * n, 2))
+    pts[:3] = [[1.0, 0.0], [0.0, 1.0], [0.05, 0.95]]  # edges and a clipped corner
+    assert ((pts < 0.0) | (pts > 1.0)).any(axis=1).sum() > g
+    w = rng.standard_normal((g * n, c))
+    out, gmap, gpts = _bilinear_with_grads(maps, pts, w)
+    assert out.shape == (g * n, c) and gmap.shape == maps.shape
+    for k in range(g):
+        rows = slice(k * n, (k + 1) * n)
+        ok, gk, pk = _bilinear_with_grads(maps[k], pts[rows], w[rows])
+        assert np.array_equal(out[rows], ok)
+        assert np.array_equal(gmap[k], gk)
+        assert np.array_equal(gk, _map_grad_oracle(maps[k], pts[rows], w[rows]))
+        assert np.array_equal(gpts[rows], pk)
+
+
+def test_grouped_bilinear_rejects_uneven_points():
+    with pytest.raises(T.DimensionError):
+        T.bilinear_sample(T.Tensor(np.zeros((3, 2, 4, 4))), T.Tensor(np.zeros((7, 2))))
+
+
 def test_layer_norm_constant_zero():
     x = T.Tensor(np.full((4,), 3.7).reshape(1, 4))
     out = T.layer_norm(x, T.Tensor(np.ones(4)), T.Tensor(np.zeros(4)))
@@ -121,6 +170,25 @@ def test_mixed_tapes_fail(rng):
 def test_nan_detection_in_debug_mode():
     with pytest.raises(FloatingPointError):
         T.Tensor([np.nan, 1.0])
+
+
+def test_backward_releases_the_graph(rng):
+    gc.disable()
+    try:
+        tape = T.Tape()
+        x = tape.leaf(rng.standard_normal(4))
+        mid = T.relu(T.mul(x, x))
+        loss = T.tsum(mid)
+        alive = weakref.ref(mid)
+        del mid
+        n_ops = tape.num_ops
+        assert alive() is not None
+        tape.backward(loss)
+        assert alive() is None  # freed by reference counting, not the cyclic collector
+        assert tape.num_ops == n_ops == 3
+        assert np.array_equal(x.grad, 2 * x.data * (x.data * x.data > 0))
+    finally:
+        gc.enable()
 
 
 def test_backward_touches_each_node_once(rng):
@@ -186,6 +254,53 @@ def test_grad_misc_ops(rng):
     check_gradients(lambda a: T.tsum(T.mul(a[1:3], a[1:3])), [y])
     check_gradients(lambda a: T.tmean(T.mul(T.max_pool2d(T.reshape(a, (1, 4, 3)), 2, 1),
                                             T.max_pool2d(T.reshape(a, (1, 4, 3)), 2, 1))), [y])
+
+
+def test_grad_grouped_bilinear(rng):
+    m = rng.standard_normal((2, 3, 4, 5))
+    pts = rng.uniform(0.15, 0.85, size=(8, 2))
+    check_gradients(lambda a, p: T.tsum(T.mul(T.bilinear_sample(a, p), T.bilinear_sample(a, p))),
+                    [m, pts], rtol=1e-3)
+
+
+def _grad_of(op, x, g):
+    tape = T.Tape()
+    a = tape.leaf(x)
+    tape.backward(T.tsum(T.mul(op(a), T.Tensor(g))))
+    return a.grad
+
+
+def _spread(rng, shape):
+    """Values over 16 decades, so that a change of summation order shows."""
+    return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+
+def test_getitem_backward_sums_duplicates_in_order(rng):
+    x = rng.standard_normal((5, 3))
+    idx = np.array([4, 1, 4, 0, 4, 1, 4])
+    g = _spread(rng, (len(idx), 3))
+    want = np.zeros_like(x)
+    for i, row in zip(idx, g):
+        want[i] += row
+    assert np.array_equal(_grad_of(lambda a: a[idx], x, g), want)
+    want = np.zeros_like(x)
+    want[1:3, ::2] = g[:2, :2]
+    assert np.array_equal(_grad_of(lambda a: a[1:3, ::2], x, g[:2, :2]), want)
+
+
+@pytest.mark.parametrize("k, stride, pad", [(2, 1, 0), (3, 2, 1)])
+def test_max_pool_backward_sums_overlaps_in_order(rng, k, stride, pad):
+    x = rng.standard_normal((2, 6, 7))
+    y = T.max_pool2d(T.Tensor(x), k, stride, padding=pad)
+    g = _spread(rng, y.shape)
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad)), constant_values=-np.inf)
+    want = np.zeros_like(xp)
+    for c, i, j in np.ndindex(g.shape):
+        win = xp[c, i * stride:i * stride + k, j * stride:j * stride + k]
+        r, s = np.unravel_index(np.argmax(win), win.shape)
+        want[c, i * stride + r, j * stride + s] += g[c, i, j]
+    want = want[:, pad:pad + x.shape[1], pad:pad + x.shape[2]]
+    assert np.array_equal(_grad_of(lambda a: T.max_pool2d(a, k, stride, padding=pad), x, g), want)
 
 
 def test_scatter_rows_forward_and_gradcheck(rng):

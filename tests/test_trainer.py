@@ -217,6 +217,26 @@ def test_checkpoint_short_rng_blob(tmp_path, rng):
         TR.load_checkpoint(path)
 
 
+# the first array record ("a/w", shape (2, 3)) follows the RNG blob and the
+# section's record count (8): name length (8), name (3), ndim (4), shape
+NAME_AT = RNG_LEN_AT + 8 + 60 + 8 + 8
+SHAPE_AT = NAME_AT + 3 + 4
+
+
+@pytest.mark.parametrize("at, new", [
+    (SHAPE_AT, struct.pack("<Q", 5)),   # 5 x 3 does not fit the 6 stored values
+    (NAME_AT, b"\xff\xfe\xfd"),         # not UTF-8
+])
+def test_checkpoint_corrupt_array_record(tmp_path, rng, at, new):
+    path, data = _small_checkpoint(tmp_path, rng)
+    assert data[NAME_AT:NAME_AT + 3] == b"a/w"
+    assert struct.unpack_from("<QQ", data, SHAPE_AT) == (2, 3)
+    with open(path, "wb") as f:
+        f.write(data[:at] + new + data[at + len(new):])
+    with pytest.raises(TR.CheckpointError, match="corrupt array record"):
+        TR.load_checkpoint(path)
+
+
 def test_restore_checkpoint_checks_config_hash(tmp_path, rng):
     path, _ = _small_checkpoint(tmp_path, rng)
     assert TR.restore_checkpoint(path, micro_cfg(epochs=7))["step"] == 2
