@@ -56,16 +56,19 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_encoder_layers < 1 or self.n_decoder_layers < 1:
             raise ConfigFileError("encoder and decoder need at least one layer each")
+        for name in ("embed_dim", "n_heads", "n_sample_points", "n_pillar_heights", "ffn_dim",
+                     "n_queries", "n_points", "bev_h", "bev_w", "image_channels", "image_height",
+                     "image_width", "checkpoint_every"):
+            if getattr(self, name) < 1:
+                raise ConfigFileError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.embed_dim % self.n_heads != 0 or self.embed_dim % 8 != 0:
             raise ConfigFileError(
                 f"embed_dim {self.embed_dim} must divide by n_heads {self.n_heads} and by 8")
-        for name in ("bev_h", "bev_w", "n_queries", "n_sample_points"):
-            if getattr(self, name) < 1:
-                raise ConfigFileError(f"{name} must be at least 1, got {getattr(self, name)}")
         if not (self.bev_x_min < self.bev_x_max and self.bev_y_min < self.bev_y_max):
             raise ConfigFileError("BEV x and y extents need min < max")
-        if not self.learning_rate > 0:
-            raise ConfigFileError(f"learning_rate must be positive, got {self.learning_rate}")
+        for name in ("learning_rate", "grad_clip"):
+            if not getattr(self, name) > 0:  # NaN fails too
+                raise ConfigFileError(f"{name} must be positive, got {getattr(self, name)}")
 
     def config_hash(self) -> str:
         """Hash of every field that affects the numerical trajectory.

@@ -593,6 +593,19 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
 # bilinear sampling
 
 
+def _channel_sum(p):
+    """Sum over the leading axis in the order numpy's pairwise summation adds a
+    row of up to 128 entries: bit-identical to ``sum(axis=-1)`` channel-last."""
+    m = p.shape[0] // 8 * 8
+    r = p[:8]
+    for i in range(8, m, 8):
+        r = r + p[i:i + 8]
+    r = r[0] + r[1] + (r[2] + r[3]) + (r[4] + r[5] + (r[6] + r[7])) if m else 0.0
+    for row in p[m:]:
+        r = r + row
+    return r
+
+
 def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     """Sample value_map[C,H,W] at normalized points[N,2] = (u,v) in [0,1]^2.
 
@@ -602,6 +615,10 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     u=(c+0.5)/W, v=(r+0.5)/H.  Points outside the unit square return zeros;
     neighbours outside the map contribute zero (border-zero policy).
     Differentiable in both the map values and the point coordinates.
+
+    Channel-major: corners gather as [C, 4, n] and sum 00, 01, 10, 11; each
+    map cell adds its gradient terms in (corner, point) order.  All outputs
+    match the channel-last layout bit for bit (point gradient: C <= 128).
     """
     if value_map.ndim not in (3, 4):
         raise DimensionError(f"bilinear_sample expects a [(G,)C,H,W] map, got {value_map.shape}")
@@ -610,49 +627,44 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] % groups:
         raise DimensionError(f"points must be [G*N,2] for {groups} groups, got {points.shape}")
     n = points.shape[0]
-    u = points.data[:, 0]
-    v = points.data[:, 1]
+    u, v = points.data.T
     inside = (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
     # out-of-square points contribute (and receive) exactly zero, so all
     # gather/scatter work runs on the in-bounds subset only
     idx_in = np.nonzero(inside)[0]
 
-    xf = u[idx_in] * w - 0.5
-    yf = v[idx_in] * h - 0.5
-    x0 = np.floor(xf).astype(np.int64)
-    y0 = np.floor(yf).astype(np.int64)
-    wx = xf - x0
-    wy = yf - y0
-
-    # the four corners, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
-    dx, dy = np.array([[0], [1], [0], [1]]), np.array([[0], [0], [1], [1]])
-    xi, yi = x0 + dx, y0 + dy
-    valid = (xi >= 0) & (xi < w) & (yi >= 0) & (yi < h)
-    cell = (idx_in // (n // groups)) * (h * w) + np.clip(yi, 0, h - 1) * w + np.clip(xi, 0, w - 1)
-    val = maps.transpose(0, 2, 3, 1).reshape(-1, c)[cell] * valid[..., None]  # [4, n_in, C]
-    wxs = np.where(dx, wx, 1.0 - wx)
-    wys = np.where(dy, wy, 1.0 - wy)
-    wgt = wxs * wys
+    # per axis (x, y), lo is in [-1, size-1] inside the square: each neighbour
+    # is clamped on one side only, and one outside the map gets weight zero
+    size = np.array([[w], [h]])
+    f = points.data.T.take(idx_in, axis=1) * size - 0.5  # [2 (x, y), n_in]
+    lo = np.floor(f).astype(np.int64)
+    valid = np.stack([lo >= 0, lo + 1 < size])  # [2 (lo, hi), 2 (x, y), n_in]
+    wts = np.stack([1.0 - (f - lo), f - lo]) * valid
+    at = np.stack([np.maximum(lo, 0), np.minimum(lo + 1, size - 1)])
+    # the corners, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
+    cell = ((at[:, 1] * w + idx_in // (n // groups) * (h * w))[:, None] + at[:, 0]).reshape(4, -1)
+    wgt = (wts[:, 1, None] * wts[:, 0]).reshape(4, -1)
+    val = maps.transpose(1, 0, 2, 3).reshape(c, -1).take(cell, axis=1)  # [C, 4, n_in]
 
     result = np.zeros((n, c), dtype=maps.dtype)
-    result[idx_in] = (val * wgt[..., None]).sum(axis=0)
+    result[idx_in] = (val * wgt).sum(axis=1).T
 
     out, tape = _make_out(result, (value_map, points))
     if tape:
         def backward():
             if out.grad is None:
                 return
-            g = out.grad[idx_in]  # [n_in, C]
+            g = out.grad.take(idx_in, axis=0).T.copy()  # [C, n_in]
             if value_map.requires_grad or value_map.tape is not None:
-                contrib = g * (wgt * valid)[..., None]  # [4, n_in, C]
-                bins = (cell[..., None] * c + np.arange(c)).ravel()  # flat (group, cell, channel)
-                gmap = np.bincount(bins, contrib.ravel(), minlength=maps.size)
-                gmap = gmap.reshape(groups, h, w, c).transpose(0, 3, 1, 2)
+                gmap = np.stack([np.bincount(cell.ravel(), (gc * wgt).ravel(), minlength=groups * h * w)
+                                 for gc in g])
+                gmap = gmap.reshape(c, groups, h, w).swapaxes(0, 1)
                 _accumulate(value_map, gmap.reshape(value_map.shape))
             if points.requires_grad or points.tape is not None:
-                dot = (g * val).sum(axis=-1)  # [4, n_in]
-                dwx = np.where(dx, 1.0, -1.0) * wys
-                dwy = np.where(dy, 1.0, -1.0) * wxs
+                dot = _channel_sum(g[:, None] * val)  # [4, n_in]
+                sgn = valid * [[[-1.0]], [[1.0]]]
+                dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
+                dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)
                 gpts = np.zeros_like(points.data)
                 gpts[idx_in, 0] = (dot * dwx * w).sum(axis=0)
                 gpts[idx_in, 1] = (dot * dwy * h).sum(axis=0)

@@ -217,7 +217,10 @@ def load_checkpoint(path):
         (version,) = _unpack(f, "<I")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        cfg_hash = _read_bytes(f, size).decode()
+        try:
+            cfg_hash = _read_bytes(f, size).decode()
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: config hash is not UTF-8") from None
         epoch, step, wall = _unpack(f, "<QQd")
         rng = _rng_from_bytes(_read_bytes(f, size))
         sections = []

@@ -314,6 +314,7 @@ def overfit_run():
     return scenes, cfg, log, params, elapsed
 
 
+@pytest.mark.slow
 def test_criterion_5_overfit_convergence(overfit_run):
     scenes, cfg, log, params, elapsed = overfit_run
     losses = np.array(log.losses())
@@ -345,6 +346,7 @@ def suite_runs():
     return {r["preset"]: r for r in rows}
 
 
+@pytest.mark.slow
 def test_criterion_6_timing_trend(suite_runs):
     t24 = suite_runs["2:4"]["sec_per_epoch"]
     t36 = suite_runs["baseline-3:6"]["sec_per_epoch"]
@@ -389,6 +391,7 @@ def test_criterion_7_determinism_resume(tmp_path):
                   f"loss jump {jump:+.3f} over first post-resume epoch")
 
 
+@pytest.mark.slow
 def test_criterion_8_accuracy_trend_advisory(suite_runs):
     m36 = suite_runs["baseline-3:6"]["map"]
     m48 = suite_runs["4:8"]["map"]

@@ -37,6 +37,10 @@ def test_invalid_layer_counts():
     {"bev_x_min": 5.0, "bev_x_max": 5.0}, {"bev_x_min": 6.0, "bev_x_max": -6.0},
     {"bev_y_min": 1.0, "bev_y_max": 1.0}, {"bev_y_min": 3.0, "bev_y_max": -3.0},
     {"learning_rate": 0.0}, {"learning_rate": -1e-3}, {"learning_rate": float("nan")},
+    {"n_heads": 0}, {"n_heads": -4}, {"embed_dim": 0}, {"embed_dim": -8}, {"ffn_dim": 0},
+    {"n_points": 0}, {"n_pillar_heights": 0}, {"image_channels": 0}, {"image_height": 0},
+    {"image_width": -1}, {"checkpoint_every": 0}, {"checkpoint_every": -2},
+    {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"grad_clip": float("nan")},
 ])
 def test_out_of_range_fields_rejected(bad):
     with pytest.raises(ConfigFileError):

@@ -126,6 +126,64 @@ def test_grouped_bilinear_matches_per_group_calls(rng):
         assert np.array_equal(gpts[rows], pk)
 
 
+def _bilinear_oracle(m, pts, g):
+    """Per point, in scalar loops: the sample [C] (corners added 00, 01, 10, 11)
+    and the gradient of sum(g * sample) with respect to (u, v)."""
+    c, h, w = m.shape
+    out, gpts = np.zeros((len(pts), c)), np.zeros((len(pts), 2))
+    for i, ((u, v), gp) in enumerate(zip(pts, g)):
+        if not (0 <= u <= 1 and 0 <= v <= 1):
+            continue
+        xf, yf = u * w - 0.5, v * h - 0.5
+        x0, y0 = int(np.floor(xf)), int(np.floor(yf))
+        wx, wy = xf - x0, yf - y0
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            x, y = x0 + dx, y0 + dy
+            if 0 <= x < w and 0 <= y < h:
+                ax, ay = (wx if dx else 1.0 - wx), (wy if dy else 1.0 - wy)
+                out[i] += ax * ay * m[:, y, x]
+                dot = float(gp @ m[:, y, x])
+                gpts[i, 0] += dot * (1.0 if dx else -1.0) * ay * w
+                gpts[i, 1] += dot * (1.0 if dy else -1.0) * ax * h
+    return out, gpts
+
+
+# on the square's edges: u or v = 0 puts the low neighbour at -1, and u or
+# v = 1 puts the high one at W or H, so both fall off the map
+EDGE_POINTS = [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0],
+               [0.0, 0.37], [1.0, 0.61], [0.23, 0.0], [0.77, 1.0]]
+
+
+@pytest.mark.parametrize("groups, c, h, w", [
+    (0, 3, 4, 5), (3, 2, 4, 5),    # the 3-D and the grouped form
+    (0, 2, 1, 1), (2, 3, 1, 1),    # 1-pixel maps
+    (0, 9, 2, 3), (2, 16, 3, 1),   # channel sums past eight
+])
+def test_bilinear_matches_scalar_oracle(rng, groups, c, h, w):
+    n = 30
+    maps = rng.standard_normal((max(groups, 1), c, h, w))
+    pts = rng.uniform(-0.1, 1.1, size=(len(maps) * n, 2))
+    for k in range(len(maps)):
+        pts[k * n:k * n + len(EDGE_POINTS)] = EDGE_POINTS
+    g = rng.standard_normal((len(pts), c))
+    out, gmap, gpts = _bilinear_with_grads(maps if groups else maps[0], pts, g)
+    gmap = gmap if groups else gmap[None]
+    for k in range(len(maps)):
+        rows = slice(k * n, (k + 1) * n)
+        want, want_pts = _bilinear_oracle(maps[k], pts[rows], g[rows])
+        assert np.array_equal(out[rows], want)
+        assert np.array_equal(gmap[k], _map_grad_oracle(maps[k], pts[rows], g[rows]))
+        np.testing.assert_allclose(gpts[rows], want_pts, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_pts).max())
+
+
+def test_channel_sum_matches_row_sum(rng):
+    for c in range(1, 129):
+        p = rng.standard_normal((4, 7, c)) * 10.0 ** rng.integers(-8, 8, (4, 7, c))
+        assert np.array_equal(T._channel_sum(np.ascontiguousarray(np.moveaxis(p, -1, 0))),
+                              p.sum(axis=-1)), c
+
+
 def test_grouped_bilinear_rejects_uneven_points():
     with pytest.raises(T.DimensionError):
         T.bilinear_sample(T.Tensor(np.zeros((3, 2, 4, 4))), T.Tensor(np.zeros((7, 2))))

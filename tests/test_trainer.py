@@ -206,6 +206,15 @@ def test_checkpoint_corrupt_length_prefix(tmp_path, rng):
         TR.load_checkpoint(path)
 
 
+def test_checkpoint_config_hash_not_utf8(tmp_path, rng):
+    path, data = _small_checkpoint(tmp_path, rng)
+    hash_at = HASH_LEN_AT + 8
+    with open(path, "wb") as f:
+        f.write(data[:hash_at] + b"\xff" + data[hash_at + 1:])
+    with pytest.raises(TR.CheckpointError, match="config hash is not UTF-8"):
+        TR.load_checkpoint(path)
+
+
 def test_checkpoint_short_rng_blob(tmp_path, rng):
     path, data = _small_checkpoint(tmp_path, rng)
     blob = RNG_LEN_AT + 8
