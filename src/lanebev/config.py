@@ -4,7 +4,10 @@ line-oriented ``key = value`` config-file format with override support."""
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
+
+from .backbone import BACKBONE_PRESETS
 
 
 class ConfigFileError(ValueError):
@@ -54,6 +57,9 @@ class ExperimentConfig:
     checkpoint_every: int = 2
 
     def __post_init__(self):
+        if self.backbone not in BACKBONE_PRESETS:
+            raise ConfigFileError(
+                f"unknown backbone {self.backbone!r}; valid: {sorted(BACKBONE_PRESETS)}")
         if self.n_encoder_layers < 1 or self.n_decoder_layers < 1:
             raise ConfigFileError("encoder and decoder need at least one layer each")
         for name in ("embed_dim", "n_heads", "n_sample_points", "n_pillar_heights", "ffn_dim",
@@ -64,11 +70,24 @@ class ExperimentConfig:
         if self.embed_dim % self.n_heads != 0 or self.embed_dim % 8 != 0:
             raise ConfigFileError(
                 f"embed_dim {self.embed_dim} must divide by n_heads {self.n_heads} and by 8")
+        for name in ("warmup_steps", "epochs", "seed"):
+            if getattr(self, name) < 0:
+                raise ConfigFileError(f"{name} must be at least 0, got {getattr(self, name)}")
+        extents = (self.bev_x_min, self.bev_x_max, self.bev_y_min, self.bev_y_max)
+        if not all(map(math.isfinite, extents)):
+            raise ConfigFileError(f"BEV extents must be finite, got {extents}")
         if not (self.bev_x_min < self.bev_x_max and self.bev_y_min < self.bev_y_max):
             raise ConfigFileError("BEV x and y extents need min < max")
-        for name in ("learning_rate", "grad_clip"):
+        for name in ("learning_rate", "grad_clip", "adam_eps"):
             if not getattr(self, name) > 0:  # NaN fails too
                 raise ConfigFileError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("weight_decay", "lambda_cls", "lambda_pts", "lambda_bnd", "background_weight"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ConfigFileError(
+                    f"{name} must be finite and non-negative, got {getattr(self, name)}")
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ConfigFileError(f"{name} must be in [0, 1), got {getattr(self, name)}")
 
     def config_hash(self) -> str:
         """Hash of every field that affects the numerical trajectory.

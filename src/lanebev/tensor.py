@@ -539,20 +539,32 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     out, tape = _make_out(out_data, (x, kernels))
     if tape:
         def backward():
+            # One GEMM per kernel tap (kn2row) over channel-last views: tap
+            # (i, j) pairs output pixel (h, w) with padded input pixel
+            # (i + s*h, j + s*w).
             if out.grad is None:
                 return
             g = out.grad[None] if squeeze else out.grad
-            gk = np.einsum("nchwij,nohw->ocij", win, g, optimize=True)
+            g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [N,H',W',O]
+            g2 = g4.reshape(-1, cout)
+
+            def tap(a, i, j):   # [N,H',W',C] slice of a channel-last [N,Hp,Wp,C] array
+                return a[:, i:i + stride * (hout - 1) + 1:stride,
+                         j:j + stride * (wout - 1) + 1:stride]
+
+            xl = xp.transpose(0, 2, 3, 1)
+            gk = np.empty_like(kernels.data)
+            for i in range(kh):
+                for j in range(kw):
+                    gk[:, :, i, j] = g2.T @ tap(xl, i, j).reshape(-1, cin)
             _accumulate(kernels, gk)
-            if x.requires_grad or x.tape is not None:
-                gxp = np.zeros_like(xp)
+            if x.requires_grad:
+                gxp = np.zeros(xl.shape, dtype=xp.dtype)   # channel-last in memory
                 for i in range(kh):
                     for j in range(kw):
-                        sl = np.einsum("nohw,oc->nchw", g, kernels.data[:, :, i, j], optimize=True)
-                        gxp[:, :, i:i + hout * stride:stride, j:j + wout * stride:stride] += sl
-                if padding:
-                    gxp = gxp[:, :, padding:-padding or None, padding:-padding or None]
-                _accumulate(x, gxp[0] if squeeze else gxp)
+                        tap(gxp, i, j)[...] += g4 @ kernels.data[:, :, i, j]
+                gx = gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+                _accumulate(x, gx[0] if squeeze else gx)
         tape._record(backward)
     return out
 

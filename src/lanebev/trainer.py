@@ -98,21 +98,25 @@ class TrainLog:
     epoch_seconds: list = field(default_factory=list)
     path: str | None = None
 
-    CSV_HEADER = "step,epoch,loss_total,loss_cls,loss_pts,loss_bnd,wall_ms"
+    CSV_HEADER = "step,epoch,loss_total,loss_cls,loss_pts,loss_bnd,wall_ms,grad_norm,lr,clipped"
 
-    def record(self, step, epoch, parts, wall_ms):
+    def record(self, step, epoch, parts, wall_ms, grad_norm=None, lr=None, clipped=None):
+        """Append one step; the optimizer fields are left empty in the CSV when not given."""
         if self.steps and step <= self.steps[-1]["step"]:
             raise ValueError("steps must be strictly increasing")
-        row = {"step": step, "epoch": epoch, "wall_ms": wall_ms, **parts}
+        row = {"step": step, "epoch": epoch, "wall_ms": wall_ms, **parts,
+               "grad_norm": grad_norm, "lr": lr, "clipped": clipped}
         self.steps.append(row)
         if self.path:
             new = not os.path.exists(self.path)
+            opt = ",".join("" if v is None else repr(float(v)) for v in (grad_norm, lr))
+            flag = "" if clipped is None else int(clipped)
             with open(self.path, "a") as f:
                 if new:
                     f.write(self.CSV_HEADER + "\n")
                 f.write(f"{step},{epoch},{parts['loss_total']:.9g},"
                         f"{parts['loss_cls']:.9g},{parts['loss_pts']:.9g},"
-                        f"{parts['loss_bnd']:.9g},{wall_ms:.3f}\n")
+                        f"{parts['loss_bnd']:.9g},{wall_ms:.3f},{opt},{flag}\n")
 
     def losses(self):
         return [r["loss_total"] for r in self.steps]
@@ -255,6 +259,8 @@ def _lr_at(cfg, step):
 
 
 def _train_step(scene, params, adam, cfg):
+    """One optimizer step; returns the loss parts and the step's optimizer
+    stats (pre-clip gradient norm, learning rate, whether clipping fired)."""
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
     loss, parts = scene_loss(scene, leaves, cfg)
@@ -262,10 +268,10 @@ def _train_step(scene, params, adam, cfg):
         raise TrainingDivergedError(f"non-finite loss {float(loss.data)}")
     tape.backward(loss)
     grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
-    clip_global_norm(grads, cfg.grad_clip)
-    adam_step(params, grads, adam, _lr_at(cfg, adam["step"] + 1),
-              (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
-    return parts
+    norm = clip_global_norm(grads, cfg.grad_clip)
+    lr = _lr_at(cfg, adam["step"] + 1)
+    adam_step(params, grads, adam, lr, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
+    return parts, {"grad_norm": norm, "lr": lr, "clipped": bool(norm > cfg.grad_clip)}
 
 
 def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
@@ -309,9 +315,9 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
         order = rng.permutation(len(scenes))
         for idx in order:
             t_step = time.perf_counter()
-            parts = _train_step(scenes[idx], params, adam, cfg)
+            parts, stats = _train_step(scenes[idx], params, adam, cfg)
             step += 1
-            log.record(step, epoch, parts, (time.perf_counter() - t_step) * 1e3)
+            log.record(step, epoch, parts, (time.perf_counter() - t_step) * 1e3, **stats)
         seconds = time.perf_counter() - t_epoch
         wall += seconds
         log.epoch_seconds.append(seconds)

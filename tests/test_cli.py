@@ -89,6 +89,15 @@ def test_eval_oracle(data_dir, tmp_path, capsys):
     assert report.read_text().startswith("map = 1.000000")
 
 
+@pytest.mark.parametrize("override, field", [("beta1=1.0", "beta1"), ("backbone=nope", "backbone")])
+def test_train_rejects_bad_config_value(data_dir, tmp_path, capsys, override, field):
+    code, _, err = run(capsys, "train", "--data", data_dir, "--out", str(tmp_path / "ck"),
+                       *MICRO_SETS, "--set", override)
+    assert code == 2
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "ck").exists()
+
+
 def test_eval_needs_checkpoint(data_dir, capsys):
     code, _, err = run(capsys, "eval", "--data", data_dir, *MICRO_SETS)
     assert code == 2

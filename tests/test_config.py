@@ -41,6 +41,15 @@ def test_invalid_layer_counts():
     {"n_points": 0}, {"n_pillar_heights": 0}, {"image_channels": 0}, {"image_height": 0},
     {"image_width": -1}, {"checkpoint_every": 0}, {"checkpoint_every": -2},
     {"grad_clip": 0.0}, {"grad_clip": -1.0}, {"grad_clip": float("nan")},
+    {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": float("nan")}, {"beta2": 1.0}, {"beta2": 1.5},
+    {"beta2": -1e-3}, {"adam_eps": 0.0}, {"adam_eps": -1.0}, {"adam_eps": float("nan")},
+    {"backbone": "nope"}, {"backbone": ""},
+    {"weight_decay": float("nan")}, {"weight_decay": -0.01}, {"lambda_cls": -1.0},
+    {"lambda_pts": float("nan")}, {"lambda_bnd": -2.5}, {"lambda_bnd": float("inf")},
+    {"background_weight": -1.0}, {"background_weight": float("nan")},
+    {"warmup_steps": -5}, {"epochs": -3},
+    {"bev_x_min": float("-inf")}, {"bev_x_max": float("inf")}, {"bev_y_max": float("inf")},
+    {"seed": -1},
 ])
 def test_out_of_range_fields_rejected(bad):
     with pytest.raises(ConfigFileError):
@@ -90,3 +99,12 @@ def test_resolved_text_lists_every_field():
     text = ExperimentConfig().resolved_text()
     for f in dataclasses.fields(ExperimentConfig):
         assert f.name in text
+
+
+def test_boundary_values_accepted():
+    # epoch 0 writes an untrained checkpoint; zero decay, weights, betas and seed are valid
+    cfg = ExperimentConfig(epochs=0, warmup_steps=0, seed=0, beta1=0.0, beta2=0.0,
+                           weight_decay=0.0, lambda_cls=0.0, background_weight=0.0)
+    assert cfg.epochs == 0
+    for name in ("toy", "toy-shallow", "resnet18-shape", "resnet50-shape"):
+        assert ExperimentConfig(backbone=name).backbone == name

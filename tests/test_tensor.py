@@ -71,6 +71,55 @@ def test_conv2d_kernel_too_large():
         T.conv2d(T.Tensor(np.ones((1, 2, 2))), T.Tensor(np.ones((1, 1, 5, 5))))
 
 
+def _conv2d_oracle(x, k, stride, padding, gy):
+    """Plain loops over every (output pixel, kernel tap) pair: the forward
+    and, for upstream gradient gy, the kernel and input gradients."""
+    nb, cin, h, w = x.shape
+    cout, _, kh, kw = k.shape
+    hout, wout = gy.shape[2:]
+    y, gk, gx = np.zeros(gy.shape), np.zeros(k.shape), np.zeros(x.shape)
+    for n in range(nb):
+        for o in range(cout):
+            for a in range(hout):
+                for b in range(wout):
+                    for c in range(cin):
+                        for i in range(kh):
+                            for j in range(kw):
+                                r, q = a * stride + i - padding, b * stride + j - padding
+                                if 0 <= r < h and 0 <= q < w:
+                                    y[n, o, a, b] += x[n, c, r, q] * k[o, c, i, j]
+                                    gk[o, c, i, j] += gy[n, o, a, b] * x[n, c, r, q]
+                                    gx[n, c, r, q] += gy[n, o, a, b] * k[o, c, i, j]
+    return y, gk, gx
+
+
+@pytest.mark.parametrize("xshape, kshape, stride, padding", [
+    ((2, 3, 5, 6), (4, 3, 3, 3), 1, 1),
+    ((2, 3, 5, 6), (4, 3, 3, 3), 1, 0),
+    ((2, 3, 7, 6), (4, 3, 3, 3), 2, 1),
+    ((2, 3, 6, 7), (4, 3, 3, 3), 2, 0),
+    ((2, 3, 5, 6), (4, 3, 1, 1), 1, 0),
+    ((2, 3, 5, 6), (4, 3, 1, 1), 2, 0),
+    ((2, 1, 6, 7), (3, 1, 3, 3), 2, 1),
+    ((1, 2, 5, 5), (2, 2, 3, 2), 1, 1),
+    ((3, 5, 6), (2, 3, 3, 3), 2, 1),
+    ((1, 5, 6), (4, 1, 1, 1), 1, 0),
+])
+def test_conv2d_matches_scalar_oracle(rng, xshape, kshape, stride, padding):
+    x = rng.standard_normal(xshape)
+    k = rng.standard_normal(kshape)
+    tape = T.Tape()
+    xt, kt = tape.leaf(x), tape.leaf(k)
+    y = T.conv2d(xt, kt, stride=stride, padding=padding)
+    gy = rng.standard_normal(y.shape)
+    tape.backward(T.tsum(T.mul(y, T.Tensor(gy))))
+    batched = (lambda a: a) if x.ndim == 4 else (lambda a: a[None])
+    want = _conv2d_oracle(batched(x), k, stride, padding, batched(gy))
+    for got, ref in zip((batched(y.data), kt.grad, batched(xt.grad)), want):
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_bilinear_cell_center():
     m = np.arange(12, dtype=np.float64).reshape(1, 3, 4)
     # cell (row 1, col 2) center: u=(2+0.5)/4, v=(1+0.5)/3
@@ -283,6 +332,13 @@ def test_grad_conv2d(rng):
     k = rng.standard_normal((3, 2, 3, 3))
     check_gradients(lambda a, b: T.tsum(T.mul(T.conv2d(a, b, stride=1, padding=1),
                                               T.conv2d(a, b, stride=1, padding=1))), [x, k])
+
+
+def test_grad_conv2d_strided_padded(rng):
+    x = rng.standard_normal((2, 6, 7))
+    k = rng.standard_normal((3, 2, 3, 3))
+    check_gradients(lambda a, b: T.tsum(T.mul(T.conv2d(a, b, stride=2, padding=1),
+                                              T.conv2d(a, b, stride=2, padding=1))), [x, k])
 
 
 def test_grad_bilinear_map_and_points(rng):

@@ -115,6 +115,54 @@ def test_trainlog_strictly_increasing(tmp_path):
     assert len(text) == 3
 
 
+def _independent_grad_norm(cfg, scene):
+    """Global gradient norm of the first step, recomputed outside the trainer."""
+    from lanebev.model import init_model_params, scene_loss
+    from lanebev.tensor import Tape
+    params = init_model_params(cfg, np.random.default_rng(cfg.seed))
+    tape = Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    loss, _ = scene_loss(scene, leaves, cfg)
+    tape.backward(loss)
+    return np.linalg.norm(np.concatenate([t.grad.ravel() for t in leaves.values()
+                                          if t.grad is not None]))
+
+
+def test_trainlog_records_grad_norm_and_lr(scenes):
+    cfg = micro_cfg(epochs=1, warmup_steps=4)
+    log, _, _ = TR.train(cfg, scenes[:1])
+    row = log.steps[0]
+    assert row["grad_norm"] == pytest.approx(_independent_grad_norm(cfg, scenes[0]), rel=1e-12)
+    assert row["lr"] == cfg.learning_rate / 4            # warm-up step 1 of 4
+    assert row["clipped"] == (row["grad_norm"] > cfg.grad_clip)
+
+
+def test_trainlog_clip_flag(scenes):
+    tiny, _, _ = TR.train(micro_cfg(epochs=1, grad_clip=1e-9), scenes)
+    huge, _, _ = TR.train(micro_cfg(epochs=1, grad_clip=1e12), scenes)
+    assert [r["clipped"] for r in tiny.steps] == [True, True]
+    assert [r["clipped"] for r in huge.steps] == [False, False]
+    # the logged norm is the pre-clip norm, so it does not depend on grad_clip
+    assert tiny.steps[0]["grad_norm"] == huge.steps[0]["grad_norm"]
+
+
+def test_trainlog_csv_round_trip(tmp_path, scenes):
+    import csv
+    path = tmp_path / "train_log.csv"
+    log, _, _ = TR.train(micro_cfg(epochs=2, grad_clip=1.0), scenes, log_path=str(path))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    assert list(rows[0]) == TR.TrainLog.CSV_HEADER.split(",")
+    assert len(rows) == len(log.steps) == 4
+    for got, want in zip(rows, log.steps):
+        assert (int(got["step"]), int(got["epoch"])) == (want["step"], want["epoch"])
+        for key in ("loss_total", "loss_cls", "loss_pts", "loss_bnd"):
+            assert float(got[key]) == pytest.approx(want[key], rel=1e-8)   # written at 9 digits
+        assert float(got["grad_norm"]) == want["grad_norm"]                 # written exactly
+        assert float(got["lr"]) == want["lr"]
+        assert bool(int(got["clipped"])) is want["clipped"]
+
+
 # -- checkpoints --
 
 
