@@ -11,7 +11,7 @@ import os
 import sys
 
 from .backbone import BACKBONE_PRESETS, count_flops, count_macs, flops_table
-from .config import ConfigFileError, ExperimentConfig, load_config
+from .config import ConfigFileError, load_config
 from .dataset import generate_scene, load_dataset, save_dataset, scenario_for_seed
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, predict_scene
@@ -27,10 +27,8 @@ def _print_config(cfg):
     print(cfg.resolved_text())
 
 
-def _load_cfg(args, **extra):
-    base = ExperimentConfig(**extra)
-    cfg = load_config(getattr(args, "config", None), getattr(args, "set", []) or [],
-                      base=base)
+def _load_cfg(args):
+    cfg = load_config(args.config, args.set or [])
     _print_config(cfg)
     return cfg
 
@@ -68,7 +66,7 @@ def _scenes_for_split(data_dir, split):
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args, dataset_dir=args.data, checkpoint_dir=args.out)
+    cfg = _load_cfg(args)
     scenes = _scenes_for_split(args.data, args.split)
     log_path = os.path.join(args.out, "train_log.csv")
     os.makedirs(args.out, exist_ok=True)
@@ -81,7 +79,7 @@ def cmd_train(args):
 
 
 def cmd_resume(args):
-    cfg = _load_cfg(args, dataset_dir=args.data, checkpoint_dir=args.out)
+    cfg = _load_cfg(args)
     scenes = _scenes_for_split(args.data, args.split)
     os.makedirs(args.out, exist_ok=True)
     log, params, adam = train(cfg, scenes, checkpoint_dir=args.out,
@@ -93,7 +91,7 @@ def cmd_resume(args):
 
 
 def cmd_eval(args):
-    cfg = _load_cfg(args, dataset_dir=args.data)
+    cfg = _load_cfg(args)
     scenes = _scenes_for_split(args.data, args.split)
     gts = groundtruth_by_frame(scenes)
     if args.oracle:
@@ -132,7 +130,7 @@ def cmd_flops(args):
 
 
 def cmd_suite(args):
-    cfg = _load_cfg(args, dataset_dir=args.data)
+    cfg = _load_cfg(args)
     split = args.split or ("train" if _has_split(args.data) else None)
     train_scenes = _scenes_for_split(args.data, split)
     eval_dir = args.eval_data or args.data
@@ -151,7 +149,7 @@ def _has_split(data_dir):
 
 
 def cmd_viz(args):
-    cfg = _load_cfg(args, dataset_dir=args.data)
+    cfg = _load_cfg(args)
     scenes = {s.scene_id: s for s in load_dataset(args.data)}
     if args.scene not in scenes:
         raise ValueError(f"scene {args.scene!r} not found; "

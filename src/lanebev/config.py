@@ -52,8 +52,6 @@ class ExperimentConfig:
     epochs: int = 10
     seed: int = 0
     # io
-    dataset_dir: str = "data"
-    checkpoint_dir: str = "checkpoints"
     checkpoint_every: int = 2
 
     def __post_init__(self):
@@ -78,9 +76,11 @@ class ExperimentConfig:
             raise ConfigFileError(f"BEV extents must be finite, got {extents}")
         if not (self.bev_x_min < self.bev_x_max and self.bev_y_min < self.bev_y_max):
             raise ConfigFileError("BEV x and y extents need min < max")
-        for name in ("learning_rate", "grad_clip", "adam_eps"):
-            if not getattr(self, name) > 0:  # NaN fails too
-                raise ConfigFileError(f"{name} must be positive, got {getattr(self, name)}")
+        for name in ("learning_rate", "adam_eps"):
+            if not 0 < getattr(self, name) < math.inf:  # NaN fails too
+                raise ConfigFileError(f"{name} must be finite and positive, got {getattr(self, name)}")
+        if not self.grad_clip > 0:  # inf disables clipping
+            raise ConfigFileError(f"grad_clip must be positive, got {self.grad_clip}")
         for name in ("weight_decay", "lambda_cls", "lambda_pts", "lambda_bnd", "background_weight"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise ConfigFileError(
@@ -92,10 +92,10 @@ class ExperimentConfig:
     def config_hash(self) -> str:
         """Hash of every field that affects the numerical trajectory.
 
-        Path-like fields and the epoch budget are excluded so a resumed run
+        The epoch budget and checkpoint cadence are excluded so a resumed run
         extending the epoch count is still the "same" experiment.
         """
-        skip = {"epochs", "dataset_dir", "checkpoint_dir", "checkpoint_every"}
+        skip = {"epochs", "checkpoint_every"}
         text = "\n".join(f"{f.name}={getattr(self, f.name)!r}"
                          for f in fields(self) if f.name not in skip)
         return hashlib.sha256(text.encode()).hexdigest()
@@ -137,18 +137,22 @@ def _parse_value(name: str, raw: str):
 def parse_config_file(path: str) -> dict:
     """Line-oriented ``key = value`` file; '#' starts a comment."""
     out = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise ConfigFileError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-            key, _, raw = text.partition("=")
-            key = key.strip()
-            if key not in _FIELDS:
-                raise ConfigFileError(f"{path}:{lineno}: unknown key {key!r}")
-            out[key] = _parse_value(key, raw.strip())
+    try:
+        with open(path, encoding="utf-8") as f:
+            lines = f.readlines()
+    except UnicodeDecodeError as e:
+        raise ConfigFileError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    for lineno, line in enumerate(lines, 1):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise ConfigFileError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
+        key, _, raw = text.partition("=")
+        key = key.strip()
+        if key not in _FIELDS:
+            raise ConfigFileError(f"{path}:{lineno}: unknown key {key!r}")
+        out[key] = _parse_value(key, raw.strip())
     return out
 
 
@@ -166,8 +170,8 @@ def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
     return replace(cfg, **updates)
 
 
-def load_config(path: str | None, overrides=(), base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base or ExperimentConfig()
+def load_config(path: str | None, overrides=()) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     if path:
         cfg = replace(cfg, **parse_config_file(path))
     return apply_overrides(cfg, overrides)

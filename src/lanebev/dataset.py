@@ -520,10 +520,14 @@ def _parse_annotations(path):
         try:
             if parts[0] == "META":
                 meta = (parts[1], int(parts[2]), int(parts[3]))
+                if meta[2] < 1:
+                    raise ValueError(f"META frame count {meta[2]} is not positive")
             elif parts[0] == "CAM":
                 k = int(parts[1])
                 if k not in range(len(CAMERA_ORDER)):
                     raise ValueError(f"CAM index {k} outside 0..{len(CAMERA_ORDER) - 1}")
+                if k in cams_raw:
+                    raise ValueError(f"duplicate CAM record {k}")
                 vals = [float(v) for v in parts[2:]]
                 if len(vals) != 16:
                     raise ValueError(f"CAM needs 16 floats, got {len(vals)}")
@@ -551,6 +555,9 @@ def _parse_annotations(path):
             raise ParseError(path, line_off, str(e)) from None
     if meta is None:
         raise ParseError(path, 0, "missing META line")
+    for k in range(max(cams_raw, default=0) + 1):   # save_dataset writes CAM 0..n-1
+        if k not in cams_raw:
+            raise ParseError(path, 0, f"missing CAM record {k}")
     return meta, cams_raw, egos, segs
 
 
@@ -561,26 +568,32 @@ def load_dataset(dir_path) -> list[Scene]:
     with open(manifest, "rb") as f:
         raw = f.read()
     for line in raw.split(b"\n"):
-        text = line.decode().strip()
         line_off = offset
         offset += len(line) + 1
-        if not text:
-            continue
-        parts = text.split()
-        if parts[0] == "version":
-            if int(parts[1]) != FORMAT_VERSION:
+        try:
+            parts = line.decode().split()
+            if not parts:
+                continue
+            if parts[0] not in ("version", "scene"):
+                raise ValueError(f"unknown manifest record {parts[0]!r}")
+            if len(parts) != 2:
+                raise ValueError(f"{parts[0]} record needs one value, got {len(parts) - 1}")
+            if parts[0] == "scene":
+                scene_ids.append(parts[1])
+            elif int(parts[1]) != FORMAT_VERSION:
                 raise UnsupportedVersionError(
                     f"dataset format version {parts[1]} unsupported (expected {FORMAT_VERSION})")
-        elif parts[0] == "scene":
-            scene_ids.append(parts[1])
-        else:
-            raise ParseError(manifest, line_off, f"unknown manifest record {parts[0]!r}")
+        except ValueError as e:   # UnicodeDecodeError included
+            raise ParseError(manifest, line_off, str(e)) from None
     return [_load_scene(dir_path, sid) for sid in scene_ids]
 
 
 def _load_scene(dir_path, scene_id) -> Scene:
     sdir = os.path.join(dir_path, scene_id)
-    meta, cams_raw, egos, segs = _parse_annotations(os.path.join(sdir, "annotations.txt"))
+    ann = os.path.join(sdir, "annotations.txt")
+    if not os.path.isfile(ann):
+        raise InventoryError(f"{sdir}: missing annotations.txt")
+    meta, cams_raw, egos, segs = _parse_annotations(ann)
     kind, seed, n_frames = meta
     # image size from the first camera file
     first = os.path.join(sdir, "frame_0_cam_0.pgm")
@@ -601,9 +614,13 @@ def _load_scene(dir_path, scene_id) -> Scene:
             path = os.path.join(sdir, f"frame_{t}_cam_{k}.pgm")
             if not os.path.exists(path):
                 raise InventoryError(f"{sdir}: missing camera file frame_{t}_cam_{k}.pgm")
-            images[k, 0] = _read_pgm(path)
+            img = _read_pgm(path)
+            if img.shape != (h, w):
+                raise ParseError(path, 0, f"image is {img.shape[1]}x{img.shape[0]}, "
+                                          f"frame_0_cam_0.pgm is {w}x{h}")
+            images[k, 0] = img
         if t not in egos:
-            raise ParseError(os.path.join(sdir, "annotations.txt"), 0, f"missing EGO record for frame {t}")
+            raise ParseError(ann, 0, f"missing EGO record for frame {t}")
         frames.append(MultiViewFrame(images, cameras, egos[t], t))
         gt.append(segs.get(t, []))
     return Scene(scene_id, frames, gt, kind, seed)

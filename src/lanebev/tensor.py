@@ -104,14 +104,17 @@ class Tensor:
 class Tape:
     """Ordered record of operations for one forward pass.
 
-    Backward visits each recorded operation exactly once, in reverse
-    creation order, and drops each one as it runs: the graph's intermediate
-    arrays are freed during backward, not left to the cyclic collector.  A
-    tape can be consumed by ``backward`` only once.
+    Each recorded operation is its backward closure together with its output.
+    Backward visits the operations once, in reverse creation order, runs a
+    closure only when its output received a gradient, and drops each one as
+    it goes: the graph's intermediate arrays are freed during backward, not
+    left to the cyclic collector.  A tape can be consumed by ``backward``
+    only once.
     """
 
     def __init__(self):
         self._records = []
+        self._outs = []
         self._released = 0
         self._consumed = False
 
@@ -123,8 +126,9 @@ class Tape:
     def num_ops(self):
         return len(self._records) + self._released
 
-    def _record(self, backward_fn):
+    def _record(self, backward_fn, out):
         self._records.append(backward_fn)
+        self._outs.append(out)
 
     def backward(self, loss: Tensor):
         if self._consumed:
@@ -136,9 +140,13 @@ class Tape:
         self._consumed = True
         loss.grad = np.ones_like(loss.data)
         records, self._records = self._records, []
+        outs, self._outs = self._outs, []
         self._released = len(records)
         while records:
-            records.pop()()
+            if outs.pop().grad is None:
+                records.pop()
+            else:
+                records.pop()()
 
 
 def _as_tensor(x):
@@ -156,11 +164,15 @@ def _tape_of(*tensors):
     return tape
 
 
-def _make_out(data, inputs):
+def _op(data, inputs, backward):
+    """The output of one op.  When an input is tracked, the op's ``backward``
+    closure (which reads ``out.grad``) is recorded on the tape with it."""
     tape = _tape_of(*inputs)
     tracked = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(data, requires_grad=tracked, tape=tape if tracked else None)
-    return out, (tape if tracked else None)
+    if tracked:
+        tape._record(backward, out)
+    return out
 
 
 def _accumulate(t: Tensor, g):
@@ -189,121 +201,79 @@ def _unbroadcast(g, shape):
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    out, tape = _make_out(a.data + b.data, (a, b))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-            _accumulate(b, _unbroadcast(out.grad, b.data.shape))
-        tape._record(backward)
+    def backward():
+        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+        _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+    out = _op(a.data + b.data, (a, b), backward)
     return out
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    out, tape = _make_out(a.data - b.data, (a, b))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(a, _unbroadcast(out.grad, a.data.shape))
-            _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
-        tape._record(backward)
+    def backward():
+        _accumulate(a, _unbroadcast(out.grad, a.data.shape))
+        _accumulate(b, _unbroadcast(-out.grad, b.data.shape))
+    out = _op(a.data - b.data, (a, b), backward)
     return out
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    out, tape = _make_out(a.data * b.data, (a, b))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
-        tape._record(backward)
+    def backward():
+        _accumulate(a, _unbroadcast(out.grad * b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(out.grad * a.data, b.data.shape))
+    out = _op(a.data * b.data, (a, b), backward)
     return out
 
 
 def div(a: Tensor, b: Tensor) -> Tensor:
-    out, tape = _make_out(a.data / b.data, (a, b))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
-            _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
-        tape._record(backward)
+    def backward():
+        _accumulate(a, _unbroadcast(out.grad / b.data, a.data.shape))
+        _accumulate(b, _unbroadcast(-out.grad * a.data / (b.data * b.data), b.data.shape))
+    out = _op(a.data / b.data, (a, b), backward)
     return out
 
 
 def relu(x: Tensor) -> Tensor:
-    out, tape = _make_out(np.maximum(x.data, 0.0), (x,))
-    if tape:
-        mask = x.data > 0.0
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * mask)
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad * (x.data > 0.0))
+    out = _op(np.maximum(x.data, 0.0), (x,), backward)
     return out
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
-    out, tape = _make_out(s, (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * s * (1.0 - s))
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad * s * (1.0 - s))
+    out = _op(s, (x,), backward)
     return out
 
 
 def exp(x: Tensor) -> Tensor:
     e = np.exp(x.data)
-    out, tape = _make_out(e, (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * e)
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad * e)
+    out = _op(e, (x,), backward)
     return out
 
 
 def log(x: Tensor) -> Tensor:
-    out, tape = _make_out(np.log(x.data), (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad / x.data)
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad / x.data)
+    out = _op(np.log(x.data), (x,), backward)
     return out
 
 
 def sqrt(x: Tensor) -> Tensor:
     r = np.sqrt(x.data)
-    out, tape = _make_out(r, (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * 0.5 / r)
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad * 0.5 / r)
+    out = _op(r, (x,), backward)
     return out
 
 
 def absolute(x: Tensor) -> Tensor:
-    out, tape = _make_out(np.abs(x.data), (x,))
-    if tape:
-        sign = np.sign(x.data)
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad * sign)
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad * np.sign(x.data))
+    out = _op(np.abs(x.data), (x,), backward)
     return out
 
 
@@ -312,16 +282,12 @@ def absolute(x: Tensor) -> Tensor:
 
 
 def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
-    out, tape = _make_out(x.data.sum(axis=axis, keepdims=keepdims), (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
-        tape._record(backward)
+    def backward():
+        g = out.grad
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+    out = _op(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
     return out
 
 
@@ -334,25 +300,16 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(x: Tensor, shape) -> Tensor:
-    out, tape = _make_out(x.data.reshape(shape), (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad.reshape(x.data.shape))
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad.reshape(x.data.shape))
+    out = _op(x.data.reshape(shape), (x,), backward)
     return out
 
 
 def transpose(x: Tensor, axes) -> Tensor:
-    out, tape = _make_out(x.data.transpose(axes), (x,))
-    if tape:
-        inv = np.argsort(axes)
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad.transpose(inv))
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad.transpose(np.argsort(axes)))
+    out = _op(x.data.transpose(axes), (x,), backward)
     return out
 
 
@@ -360,42 +317,29 @@ def concat(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
     if not tensors:
         raise DimensionError("concat of zero tensors")
-    out, tape = _make_out(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors))
-    if tape:
-        sizes = [t.data.shape[axis] for t in tensors]
-        splits = np.cumsum(sizes)[:-1]
-        def backward():
-            if out.grad is None:
-                return
-            for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
-                _accumulate(t, g)
-        tape._record(backward)
+    def backward():
+        splits = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
+        for t, g in zip(tensors, np.split(out.grad, splits, axis=axis)):
+            _accumulate(t, g)
+    out = _op(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
     return out
 
 
 def stack(tensors, axis=0) -> Tensor:
     tensors = [_as_tensor(t) for t in tensors]
-    out, tape = _make_out(np.stack([t.data for t in tensors], axis=axis), tuple(tensors))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            for i, t in enumerate(tensors):
-                _accumulate(t, np.take(out.grad, i, axis=axis))
-        tape._record(backward)
+    def backward():
+        for i, t in enumerate(tensors):
+            _accumulate(t, np.take(out.grad, i, axis=axis))
+    out = _op(np.stack([t.data for t in tensors], axis=axis), tensors, backward)
     return out
 
 
 def getitem(x: Tensor, idx) -> Tensor:
-    out, tape = _make_out(x.data[idx], (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            flat = np.arange(x.data.size).reshape(x.data.shape)[idx].ravel()
-            g = np.bincount(flat, out.grad.ravel(), minlength=x.data.size)
-            _accumulate(x, g.reshape(x.data.shape))
-        tape._record(backward)
+    def backward():
+        flat = np.arange(x.data.size).reshape(x.data.shape)[idx].ravel()
+        g = np.bincount(flat, out.grad.ravel(), minlength=x.data.size)
+        _accumulate(x, g.reshape(x.data.shape))
+    out = _op(x.data[idx], (x,), backward)
     return out
 
 
@@ -403,13 +347,9 @@ def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
     """[n, ...] zeros with x's rows placed at the distinct indices idx."""
     data = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
     data[idx] = x.data
-    out, tape = _make_out(data, (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            _accumulate(x, out.grad[idx])
-        tape._record(backward)
+    def backward():
+        _accumulate(x, out.grad[idx])
+    out = _op(data, (x,), backward)
     return out
 
 
@@ -422,16 +362,12 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs >=2-d tensors, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-    out, tape = _make_out(a.data @ b.data, (a, b))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            ga = out.grad @ np.swapaxes(b.data, -1, -2)
-            gb = np.swapaxes(a.data, -1, -2) @ out.grad
-            _accumulate(a, _unbroadcast(ga, a.data.shape))
-            _accumulate(b, _unbroadcast(gb, b.data.shape))
-        tape._record(backward)
+    def backward():
+        ga = out.grad @ np.swapaxes(b.data, -1, -2)
+        gb = np.swapaxes(a.data, -1, -2) @ out.grad
+        _accumulate(a, _unbroadcast(ga, a.data.shape))
+        _accumulate(b, _unbroadcast(gb, b.data.shape))
+    out = _op(a.data @ b.data, (a, b), backward)
     return out
 
 
@@ -453,14 +389,10 @@ def softmax(x: Tensor, axis=-1) -> Tensor:
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     e = np.exp(shifted)
     s = e / e.sum(axis=axis, keepdims=True)
-    out, tape = _make_out(s, (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accumulate(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
-        tape._record(backward)
+    def backward():
+        g = out.grad
+        _accumulate(x, s * (g - (g * s).sum(axis=axis, keepdims=True)))
+    out = _op(s, (x,), backward)
     return out
 
 
@@ -469,15 +401,10 @@ def log_softmax(x: Tensor, axis=-1) -> Tensor:
         raise DimensionError("log_softmax over an empty axis")
     shifted = x.data - x.data.max(axis=axis, keepdims=True)
     ls = shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    out, tape = _make_out(ls, (x,))
-    if tape:
-        p = np.exp(ls)
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            _accumulate(x, g - p * g.sum(axis=axis, keepdims=True))
-        tape._record(backward)
+    def backward():
+        g = out.grad
+        _accumulate(x, g - np.exp(ls) * g.sum(axis=axis, keepdims=True))
+    out = _op(ls, (x,), backward)
     return out
 
 
@@ -490,19 +417,15 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     var = x.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = (x.data - mu) * inv
-    out, tape = _make_out(xhat * gain.data + bias.data, (x, gain, bias))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad
-            gxhat = g * gain.data
-            _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
-            _accumulate(bias, _unbroadcast(g, bias.data.shape))
-            m1 = gxhat.mean(axis=-1, keepdims=True)
-            m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(x, inv * (gxhat - m1 - xhat * m2))
-        tape._record(backward)
+    def backward():
+        g = out.grad
+        gxhat = g * gain.data
+        _accumulate(gain, _unbroadcast(g * xhat, gain.data.shape))
+        _accumulate(bias, _unbroadcast(g, bias.data.shape))
+        m1 = gxhat.mean(axis=-1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        _accumulate(x, inv * (gxhat - m1 - xhat * m2))
+    out = _op(xhat * gain.data + bias.data, (x, gain, bias), backward)
     return out
 
 
@@ -535,37 +458,32 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     win = win[:, :, ::stride, ::stride][:, :, :hout, :wout]  # [N,C,H',W',kh,kw]
     y = np.einsum("nchwij,ocij->nohw", win, kernels.data, optimize=True)
 
-    out_data = y[0] if squeeze else y
-    out, tape = _make_out(out_data, (x, kernels))
-    if tape:
-        def backward():
-            # One GEMM per kernel tap (kn2row) over channel-last views: tap
-            # (i, j) pairs output pixel (h, w) with padded input pixel
-            # (i + s*h, j + s*w).
-            if out.grad is None:
-                return
-            g = out.grad[None] if squeeze else out.grad
-            g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [N,H',W',O]
-            g2 = g4.reshape(-1, cout)
+    def backward():
+        # One GEMM per kernel tap (kn2row) over channel-last views: tap
+        # (i, j) pairs output pixel (h, w) with padded input pixel
+        # (i + s*h, j + s*w).
+        g = out.grad[None] if squeeze else out.grad
+        g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [N,H',W',O]
+        g2 = g4.reshape(-1, cout)
 
-            def tap(a, i, j):   # [N,H',W',C] slice of a channel-last [N,Hp,Wp,C] array
-                return a[:, i:i + stride * (hout - 1) + 1:stride,
-                         j:j + stride * (wout - 1) + 1:stride]
+        def tap(a, i, j):   # [N,H',W',C] slice of a channel-last [N,Hp,Wp,C] array
+            return a[:, i:i + stride * (hout - 1) + 1:stride,
+                     j:j + stride * (wout - 1) + 1:stride]
 
-            xl = xp.transpose(0, 2, 3, 1)
-            gk = np.empty_like(kernels.data)
+        xl = xp.transpose(0, 2, 3, 1)
+        gk = np.empty_like(kernels.data)
+        for i in range(kh):
+            for j in range(kw):
+                gk[:, :, i, j] = g2.T @ tap(xl, i, j).reshape(-1, cin)
+        _accumulate(kernels, gk)
+        if x.requires_grad:
+            gxp = np.zeros(xl.shape, dtype=xp.dtype)   # channel-last in memory
             for i in range(kh):
                 for j in range(kw):
-                    gk[:, :, i, j] = g2.T @ tap(xl, i, j).reshape(-1, cin)
-            _accumulate(kernels, gk)
-            if x.requires_grad:
-                gxp = np.zeros(xl.shape, dtype=xp.dtype)   # channel-last in memory
-                for i in range(kh):
-                    for j in range(kw):
-                        tap(gxp, i, j)[...] += g4 @ kernels.data[:, :, i, j]
-                gx = gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
-                _accumulate(x, gx[0] if squeeze else gx)
-        tape._record(backward)
+                    tap(gxp, i, j)[...] += g4 @ kernels.data[:, :, i, j]
+            gx = gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
+            _accumulate(x, gx[0] if squeeze else gx)
+    out = _op(y[0] if squeeze else y, (x, kernels), backward)
     return out
 
 
@@ -584,20 +502,16 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
     flat = win.reshape(nb, c, hout, wout, k * k)
     arg = flat.argmax(axis=-1)
     y = np.take_along_axis(flat, arg[..., None], axis=-1)[..., 0]
-    out, tape = _make_out(y[0] if squeeze else y, (x,))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad[None] if squeeze else out.grad
-            ki, kj = np.divmod(arg, k)
-            nn, cc, ii, jj = np.indices(arg.shape)
-            flat = np.ravel_multi_index((nn, cc, ii * stride + ki, jj * stride + kj), xd.shape)
-            gx = np.bincount(flat.ravel(), g.ravel(), minlength=xd.size).reshape(xd.shape)
-            if padding:
-                gx = gx[:, :, padding:-padding, padding:-padding]
-            _accumulate(x, gx[0] if squeeze else gx)
-        tape._record(backward)
+    def backward():
+        g = out.grad[None] if squeeze else out.grad
+        ki, kj = np.divmod(arg, k)
+        nn, cc, ii, jj = np.indices(arg.shape)
+        flat = np.ravel_multi_index((nn, cc, ii * stride + ki, jj * stride + kj), xd.shape)
+        gx = np.bincount(flat.ravel(), g.ravel(), minlength=xd.size).reshape(xd.shape)
+        if padding:
+            gx = gx[:, :, padding:-padding, padding:-padding]
+        _accumulate(x, gx[0] if squeeze else gx)
+    out = _op(y[0] if squeeze else y, (x,), backward)
     return out
 
 
@@ -661,25 +575,21 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     result = np.zeros((n, c), dtype=maps.dtype)
     result[idx_in] = (val * wgt).sum(axis=1).T
 
-    out, tape = _make_out(result, (value_map, points))
-    if tape:
-        def backward():
-            if out.grad is None:
-                return
-            g = out.grad.take(idx_in, axis=0).T.copy()  # [C, n_in]
-            if value_map.requires_grad or value_map.tape is not None:
-                gmap = np.stack([np.bincount(cell.ravel(), (gc * wgt).ravel(), minlength=groups * h * w)
-                                 for gc in g])
-                gmap = gmap.reshape(c, groups, h, w).swapaxes(0, 1)
-                _accumulate(value_map, gmap.reshape(value_map.shape))
-            if points.requires_grad or points.tape is not None:
-                dot = _channel_sum(g[:, None] * val)  # [4, n_in]
-                sgn = valid * [[[-1.0]], [[1.0]]]
-                dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
-                dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)
-                gpts = np.zeros_like(points.data)
-                gpts[idx_in, 0] = (dot * dwx * w).sum(axis=0)
-                gpts[idx_in, 1] = (dot * dwy * h).sum(axis=0)
-                _accumulate(points, gpts)
-        tape._record(backward)
+    def backward():
+        g = out.grad.take(idx_in, axis=0).T.copy()  # [C, n_in]
+        if value_map.requires_grad:
+            gmap = np.stack([np.bincount(cell.ravel(), (gc * wgt).ravel(), minlength=groups * h * w)
+                             for gc in g])
+            gmap = gmap.reshape(c, groups, h, w).swapaxes(0, 1)
+            _accumulate(value_map, gmap.reshape(value_map.shape))
+        if points.requires_grad:
+            dot = _channel_sum(g[:, None] * val)  # [4, n_in]
+            sgn = valid * [[[-1.0]], [[1.0]]]
+            dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
+            dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)
+            gpts = np.zeros_like(points.data)
+            gpts[idx_in, 0] = (dot * dwx * w).sum(axis=0)
+            gpts[idx_in, 1] = (dot * dwy * h).sum(axis=0)
+            _accumulate(points, gpts)
+    out = _op(result, (value_map, points), backward)
     return out

@@ -164,9 +164,9 @@ def _read_array(f, size):
     name = _read_bytes(f, size)
     (ndim,) = _unpack(f, "<I")
     shape = tuple(_unpack(f, "<Q")[0] for _ in range(ndim))
-    data = np.frombuffer(_read_bytes(f, size), dtype="<f8")
-    try:  # a name that is not UTF-8, or a shape that does not fit the payload
-        return name.decode(), data.reshape(shape).copy()
+    payload = _read_bytes(f, size)
+    try:  # a name that is not UTF-8, or a payload or shape that does not fit
+        return name.decode(), np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
     except ValueError as e:
         raise CheckpointError(f"corrupt array record: {e}") from None
 
@@ -190,6 +190,8 @@ def _rng_from_bytes(b) -> np.random.Generator:
     state = int.from_bytes(b[16:32], "little")
     inc = int.from_bytes(b[32:48], "little")
     has_uint32, uinteger = struct.unpack_from("<IQ", b, 48)
+    if has_uint32 > 1 or uinteger >= 1 << 32:   # PCG64 keeps a flag and a uint32
+        raise CheckpointError(f"corrupt RNG state: has_uint32 {has_uint32}, uinteger {uinteger}")
     rng = np.random.default_rng(0)
     rng.bit_generator.state = {"bit_generator": "PCG64",
                                "state": {"state": state, "inc": inc},

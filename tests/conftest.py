@@ -2,8 +2,15 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from lanebev import tensor as T
+
+# property tests draw the same examples on every run, so Tier-1 stays
+# deterministic; nothing is written to an example database
+settings.register_profile("lanebev", derandomize=True, max_examples=150, deadline=None,
+                          database=None)
+settings.load_profile("lanebev")
 
 
 @pytest.fixture(autouse=True)

@@ -89,13 +89,22 @@ def test_eval_oracle(data_dir, tmp_path, capsys):
     assert report.read_text().startswith("map = 1.000000")
 
 
-@pytest.mark.parametrize("override, field", [("beta1=1.0", "beta1"), ("backbone=nope", "backbone")])
+@pytest.mark.parametrize("override, field", [("beta1=1.0", "beta1"), ("backbone=nope", "backbone"),
+                                             ("dataset_dir=x", "dataset_dir")])
 def test_train_rejects_bad_config_value(data_dir, tmp_path, capsys, override, field):
     code, _, err = run(capsys, "train", "--data", data_dir, "--out", str(tmp_path / "ck"),
                        *MICRO_SETS, "--set", override)
     assert code == 2
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "ck").exists()
+
+
+def test_eval_rejects_non_utf8_config(data_dir, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(b"seed = \xff\n")
+    code, _, err = run(capsys, "eval", "--data", data_dir, "--oracle", "--config", str(cfg))
+    assert code == 2
+    assert "bad.cfg" in err and "Traceback" not in err
 
 
 def test_eval_needs_checkpoint(data_dir, capsys):

@@ -50,6 +50,7 @@ def test_invalid_layer_counts():
     {"warmup_steps": -5}, {"epochs": -3},
     {"bev_x_min": float("-inf")}, {"bev_x_max": float("inf")}, {"bev_y_max": float("inf")},
     {"seed": -1},
+    {"learning_rate": float("inf")}, {"adam_eps": float("inf")},
 ])
 def test_out_of_range_fields_rejected(bad):
     with pytest.raises(ConfigFileError):
@@ -72,6 +73,13 @@ def test_config_file_unknown_key(tmp_path):
         parse_config_file(str(p))
 
 
+def test_config_file_not_utf8(tmp_path):
+    p = tmp_path / "bad.cfg"
+    p.write_bytes(b"seed = 1\nbackbone = toy\xff\n")
+    with pytest.raises(ConfigFileError, match="bad.cfg: not UTF-8"):
+        parse_config_file(str(p))
+
+
 def test_config_file_bad_value(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("epochs = many\n")
@@ -89,10 +97,17 @@ def test_overrides():
 
 def test_hash_ignores_paths_and_epochs():
     a = ExperimentConfig()
-    b = dataclasses.replace(a, epochs=99, dataset_dir="elsewhere")
+    b = dataclasses.replace(a, epochs=99, checkpoint_every=5)
     c = dataclasses.replace(a, seed=1)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
+
+
+def test_config_hash_pinned():
+    # a changed hash would stop every saved checkpoint from restoring
+    assert {name: preset_config(name).config_hash()[:16] for name in EXPERIMENT_PRESETS} == {
+        "baseline-3:6": "9ffaaaf82202c1d1", "shallow-backbone": "cec50484b807ae7e",
+        "2:4": "0a97c0dbff56472e", "4:8": "82a5dcb43dc5bce0"}
 
 
 def test_resolved_text_lists_every_field():
@@ -106,5 +121,6 @@ def test_boundary_values_accepted():
     cfg = ExperimentConfig(epochs=0, warmup_steps=0, seed=0, beta1=0.0, beta2=0.0,
                            weight_decay=0.0, lambda_cls=0.0, background_weight=0.0)
     assert cfg.epochs == 0
+    assert ExperimentConfig(grad_clip=float("inf")).grad_clip == float("inf")  # no clipping
     for name in ("toy", "toy-shallow", "resnet18-shape", "resnet50-shape"):
         assert ExperimentConfig(backbone=name).backbone == name

@@ -169,6 +169,54 @@ def test_out_of_range_records_rejected(tmp_path, scenes, name, old, new):
     assert err.value.offset == at + 1
 
 
+@pytest.mark.parametrize("manifest, at", [
+    (b"version x\nscene {}\n", 0),
+    (b"version\nscene {}\n", 0),
+    (b"version 1\nscene\n", 10),
+    (b"version 1\nscene {}\xff\n", 10),     # not UTF-8
+])
+def test_malformed_manifest_rejected(tmp_path, scenes, manifest, at):
+    D.save_dataset(scenes[:1], tmp_path)
+    (tmp_path / "manifest.txt").write_bytes(manifest.replace(b"{}", scenes[0].scene_id.encode()))
+    with pytest.raises(D.ParseError, match="manifest.txt") as err:
+        D.load_dataset(tmp_path)
+    assert err.value.offset == at
+
+
+@pytest.mark.parametrize("frames", [b"0", b"-1"])
+def test_meta_frame_count_must_be_positive(tmp_path, scenes, frames):
+    D.save_dataset(scenes[:1], tmp_path)
+    ann = tmp_path / scenes[0].scene_id / "annotations.txt"
+    meta, rest = ann.read_bytes().split(b"\n", 1)
+    assert meta.startswith(b"META ")
+    ann.write_bytes(meta.rsplit(b" ", 1)[0] + b" " + frames + b"\n" + rest)
+    with pytest.raises(D.ParseError, match="META frame count") as err:
+        D.load_dataset(tmp_path)
+    assert err.value.offset == 0
+
+
+@pytest.mark.parametrize("old, new, message", [
+    (b"CAM 1 ", b"# ", "missing CAM record 1"),   # CAM 2 would pair with frame_t_cam_1.pgm
+    (b"CAM ", b"# ", "missing CAM record 0"),
+    (b"CAM 6 ", b"CAM 5 ", "duplicate CAM record 5"),   # camera 'back' would get CAM 6's intrinsics
+])
+def test_cam_indices_must_be_0_to_n(tmp_path, scenes, old, new, message):
+    D.save_dataset(scenes[:1], tmp_path)
+    ann = tmp_path / scenes[0].scene_id / "annotations.txt"
+    lines = ann.read_bytes().split(b"\n")
+    ann.write_bytes(b"\n".join(new + line[len(old):] if line.startswith(old) else line
+                               for line in lines))
+    with pytest.raises(D.ParseError, match=message):
+        D.load_dataset(tmp_path)
+
+
+def test_camera_image_size_mismatch_rejected(tmp_path, scenes):
+    D.save_dataset(scenes[:1], tmp_path)
+    (tmp_path / scenes[0].scene_id / "frame_1_cam_2.pgm").write_bytes(b"P5\n4 2\n255\n" + bytes(8))
+    with pytest.raises(D.ParseError, match="frame_1_cam_2.pgm"):
+        D.load_dataset(tmp_path)
+
+
 def test_pgm_scaled_by_maxval(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n3 1\n100\n" + bytes([0, 50, 100]))

@@ -278,11 +278,13 @@ def test_checkpoint_short_rng_blob(tmp_path, rng):
 # section's record count (8): name length (8), name (3), ndim (4), shape
 NAME_AT = RNG_LEN_AT + 8 + 60 + 8 + 8
 SHAPE_AT = NAME_AT + 3 + 4
+PAYLOAD_LEN_AT = SHAPE_AT + 16
 
 
 @pytest.mark.parametrize("at, new", [
     (SHAPE_AT, struct.pack("<Q", 5)),   # 5 x 3 does not fit the 6 stored values
     (NAME_AT, b"\xff\xfe\xfd"),         # not UTF-8
+    (PAYLOAD_LEN_AT, struct.pack("<Q", 47)),   # not a whole number of float64s
 ])
 def test_checkpoint_corrupt_array_record(tmp_path, rng, at, new):
     path, data = _small_checkpoint(tmp_path, rng)
