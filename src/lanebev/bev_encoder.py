@@ -157,8 +157,7 @@ def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params,
     value = run_linear(flat, params, prefix + "/value")          # [H*W, D]
     value_maps = T.reshape(map_from_rows(value, h, w), (n_heads, d_head, h, w))
 
-    refs = T._as_tensor(np.asarray(ref_points, dtype=np.float64)) \
-        if not isinstance(ref_points, Tensor) else ref_points
+    refs = T._as_tensor(ref_points)
     offsets = T.reshape(run_linear(queries, params, prefix + "/offset"),
                         (n, n_heads * n_points, 2))
     sample_pts = T.add(T.reshape(refs, (n, 1, 2)), offsets)      # [N, h*K, 2]
@@ -200,13 +199,13 @@ def temporal_self_attention(bev: BEVGrid, history: BEVGrid | None, motion: EgoMo
         raise T.DimensionError(f"history grid {history.spec} != current grid {spec}")
     refs = spec.normalize(spec.cell_centers())
     q = bev.emb if query_pos is None else T.add(bev.emb, query_pos)
-    cur_map = map_from_rows(bev.emb, spec.h, spec.w)
-    out = deformable_attention(q, refs, cur_map, params, prefix, n_heads, n_points)
+    rows = bev.emb
     if history is not None:
-        warped = warp_history(history.emb, motion, spec)
-        hist_map = map_from_rows(warped, spec.h, spec.w)
-        out_hist = deformable_attention(q, refs, hist_map, params, prefix, n_heads, n_points)
-        out = T.mul(T.add(out, out_hist), T.Tensor(0.5))
+        # both attentions share queries, offsets and weights and are affine in
+        # the map, so their mean is one attention over the mean of the maps
+        rows = T.mul(T.add(rows, warp_history(history.emb, motion, spec)), T.Tensor(0.5))
+    out = deformable_attention(q, refs, map_from_rows(rows, spec.h, spec.w), params, prefix,
+                               n_heads, n_points)
     return BEVGrid(T.add(bev.emb, out), spec)
 
 

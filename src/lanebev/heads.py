@@ -37,12 +37,13 @@ class MatchResult:
 
 @dataclass
 class HeadOutput:
-    """Differentiable per-query predictions for one decoder layer."""
+    """Differentiable per-query predictions; N rows are N_q queries of one
+    decoder layer, or L layers' queries stacked layer-major (N = L*N_q)."""
 
-    cls_logits: Tensor   # [N_q, 3]
-    centerline: Tensor   # [N_q, P, 2] metric (x, y)
-    left: Tensor         # [N_q, P, 2]
-    right: Tensor        # [N_q, P, 2]
+    cls_logits: Tensor   # [N, 3]
+    centerline: Tensor   # [N, P, 2] metric (x, y)
+    left: Tensor         # [N, P, 2]
+    right: Tensor        # [N, P, 2]
 
 
 def init_head_params(params, cfg, rng):
@@ -71,7 +72,9 @@ def _unit_left_normals(centerline: Tensor) -> Tensor:
 
 
 def head_outputs(q: LaneQuerySet, params, cfg) -> HeadOutput:
-    n_q, p = cfg.n_queries, cfg.n_points
+    """Predictions for every row of q: one decoder layer's N_q queries, or
+    several layers' stacked layer-major."""
+    n_q, p = q.emb.shape[0], cfg.n_points
     x = q.emb
     cls_logits = run_linear(x, params, "head/cls")
 
@@ -110,7 +113,7 @@ def _softmax_np(logits):
 
 
 def cost_matrix(out: HeadOutput, gts: list[LaneSegment], cfg) -> np.ndarray:
-    """[G, N_q] matching costs from detached head outputs: minus the softmax
+    """[G, N] matching costs from detached head outputs: minus the softmax
     probability of the groundtruth class, plus the mean per-point L1
     distances of the centerline and of the two boundaries."""
     scores = _softmax_np(out.cls_logits.data)
@@ -139,57 +142,54 @@ def hungarian_match(cost: np.ndarray) -> MatchResult:
     return MatchResult(cols[order], float(cost[rows, cols].sum()))
 
 
-def total_loss(layer_outputs: list[HeadOutput], gts: list[LaneSegment], cfg):
-    """Deep-supervised set loss: match and score every decoder layer's
-    predictions, then average.  Matching runs on detached costs; gradients
+def total_loss(out: HeadOutput, gts: list[LaneSegment], cfg):
+    """Deep-supervised set loss over every decoder layer's predictions,
+    stacked layer-major: each field is [L*N_q, ...] for L layers.  Each
+    layer is matched and scored on its own block of N_q queries, then the L
+    layer losses are averaged.  Matching runs on detached costs; gradients
     flow only through the classification and point terms.
 
     Returns (scalar loss Tensor, breakdown dict of floats).
     """
-    if not layer_outputs:
-        raise ValueError("need at least one decoder layer's predictions")
     n_q, p = cfg.n_queries, cfg.n_points
-    totals = {"loss_cls": [], "loss_pts": [], "loss_bnd": []}
-    layer_losses = []
-    for out in layer_outputs:
-        if gts:
-            match = hungarian_match(cost_matrix(out, gts, cfg))
-            pred_idx = match.gt_to_pred
-        else:
-            pred_idx = np.array([], dtype=int)
+    rows = out.cls_logits.shape[0]
+    if rows == 0 or rows % n_q:
+        raise ValueError(f"{rows} prediction rows: not a positive multiple of {n_q} queries")
+    n_layers = rows // n_q
+    pred_idx = np.zeros((n_layers, len(gts)), dtype=int)   # per layer: gt -> query
+    if gts:
+        cost = cost_matrix(out, gts, cfg)
+        for i in range(n_layers):
+            pred_idx[i] = hungarian_match(cost[:, i * n_q:(i + 1) * n_q]).gt_to_pred
 
-        targets = np.zeros(n_q, dtype=int)
-        for g, pi in enumerate(pred_idx):
-            targets[pi] = gts[g].class_id
-        weights = np.where(targets == 0, cfg.background_weight, 1.0)
-        logp = T.log_softmax(out.cls_logits, axis=-1)
-        picked = logp[np.arange(n_q), targets]
-        ce = T.mul(T.tsum(T.mul(picked, T._as_tensor(-weights))),
-                   T.Tensor(1.0 / weights.sum()))
-        cls_term = T.mul(ce, T.Tensor(cfg.lambda_cls))
+    targets = np.zeros((n_layers, n_q), dtype=int)
+    np.put_along_axis(targets, pred_idx, [gt.class_id for gt in gts], axis=1)
+    weights = np.where(targets == 0, cfg.background_weight, 1.0)
+    logp = T.log_softmax(out.cls_logits, axis=-1)
+    picked = T.reshape(logp[np.arange(rows), targets.ravel()], (n_layers, n_q))
+    ce = T.mul(T.tsum(T.mul(picked, T._as_tensor(-weights)), axis=1),
+               T._as_tensor(1.0 / weights.sum(axis=1)))
+    cls_term = T.mul(ce, T.Tensor(cfg.lambda_cls))
 
-        if len(pred_idx):
-            m = len(pred_idx)
-            gt_c = np.stack([g.centerline for g in gts])
-            gt_l = np.stack([g.left_boundary for g in gts])
-            gt_r = np.stack([g.right_boundary for g in gts])
-            pts_l1 = T.tsum(T.absolute(T.sub(out.centerline[pred_idx], T._as_tensor(gt_c))))
-            pts = T.mul(pts_l1, T.Tensor(1.0 / (m * p)))
-            bnd_l1 = T.add(T.tsum(T.absolute(T.sub(out.left[pred_idx], T._as_tensor(gt_l)))),
-                           T.tsum(T.absolute(T.sub(out.right[pred_idx], T._as_tensor(gt_r)))))
-            bnd = T.mul(bnd_l1, T.Tensor(1.0 / (2 * m * p)))
-        else:
-            pts = T.Tensor(0.0)
-            bnd = T.Tensor(0.0)
-        pts_term = T.mul(pts, T.Tensor(cfg.lambda_pts))
-        bnd_term = T.mul(bnd, T.Tensor(cfg.lambda_bnd))
+    if gts:
+        matched = (pred_idx + n_q * np.arange(n_layers)[:, None]).ravel()
 
-        layer_losses.append(T.add(T.add(cls_term, pts_term), bnd_term))
-        totals["loss_cls"].append(float(cls_term.data))
-        totals["loss_pts"].append(float(pts_term.data))
-        totals["loss_bnd"].append(float(bnd_term.data))
+        def layer_l1(pred, field):   # [L] sums of |pred - gt| over each layer's matches
+            gt = np.tile(np.stack([getattr(g, field) for g in gts]), (n_layers, 1, 1))
+            diff = T.absolute(T.sub(pred[matched], T._as_tensor(gt)))
+            return T.tsum(T.reshape(diff, (n_layers, -1)), axis=1)
 
-    loss = T.mul(T.tsum(T.stack(layer_losses)), T.Tensor(1.0 / len(layer_losses)))
-    breakdown = {k: float(np.mean(v)) for k, v in totals.items()}
+        m = len(gts)
+        pts = T.mul(layer_l1(out.centerline, "centerline"), T.Tensor(1.0 / (m * p)))
+        bnd_l1 = T.add(layer_l1(out.left, "left_boundary"), layer_l1(out.right, "right_boundary"))
+        bnd = T.mul(bnd_l1, T.Tensor(1.0 / (2 * m * p)))
+    else:
+        pts = bnd = T.Tensor(np.zeros(n_layers))
+    terms = {"loss_cls": cls_term, "loss_pts": T.mul(pts, T.Tensor(cfg.lambda_pts)),
+             "loss_bnd": T.mul(bnd, T.Tensor(cfg.lambda_bnd))}
+
+    layer_losses = T.add(T.add(cls_term, terms["loss_pts"]), terms["loss_bnd"])   # [L]
+    loss = T.mul(T.tsum(layer_losses), T.Tensor(1.0 / n_layers))
+    breakdown = {k: float(np.mean(t.data)) for k, t in terms.items()}
     breakdown["loss_total"] = float(loss.data)
     return loss, breakdown

@@ -13,7 +13,7 @@ from .backbone import (BACKBONE_PRESETS, BackboneConfig, extract_features,
                        feature_channels, init_backbone_params)
 from .bev_encoder import BEVGrid, EgoMotion, encode, init_encoder_params
 from .heads import head_outputs, init_head_params, predict, total_loss
-from .lane_decoder import decode, init_decoder_params, initial_queries
+from .lane_decoder import LaneQuerySet, decode, init_decoder_params, initial_queries
 
 
 def backbone_config(cfg) -> BackboneConfig:
@@ -62,11 +62,16 @@ def _run_scene(scene, params, cfg):
         history = BEVGrid(bev.emb.detach(), bev.spec)
 
 
+def stack_layers(qsets: list[LaneQuerySet]) -> LaneQuerySet:
+    """Every decoder layer's query set as one, layer-major."""
+    return LaneQuerySet(T.concat([q.emb for q in qsets]), T.concat([q.ref_logits for q in qsets]))
+
+
 def scene_loss(scene, params, cfg):
-    """Mean deep-supervised loss over a scene's frames."""
+    """Mean deep-supervised loss over a scene's frames, one head pass per frame."""
     losses, parts_acc = [], []
     for qsets, gts in zip(_run_scene(scene, params, cfg), scene.groundtruth):
-        loss_t, parts = total_loss([head_outputs(q, params, cfg) for q in qsets], gts, cfg)
+        loss_t, parts = total_loss(head_outputs(stack_layers(qsets), params, cfg), gts, cfg)
         losses.append(loss_t)
         parts_acc.append(parts)
     loss = T.mul(T.tsum(T.stack(losses)), T.Tensor(1.0 / len(losses)))

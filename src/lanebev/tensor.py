@@ -34,15 +34,14 @@ def set_debug_checks(enabled: bool):
 
 
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "tape", "__weakref__")
+    __slots__ = ("data", "grad", "tape", "__weakref__")
 
-    def __init__(self, data, requires_grad=False, tape=None):
+    def __init__(self, data, tape=None):
         arr = np.asarray(data)
         if arr.dtype not in (np.float32, np.float64):
             arr = arr.astype(np.float64)
         self.data = arr
         self.grad = None
-        self.requires_grad = bool(requires_grad)
         self.tape = tape
         if _DEBUG_CHECKS and not np.all(np.isfinite(arr)):
             raise FloatingPointError("non-finite value in tensor")
@@ -55,10 +54,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self):
         return float(self.data.reshape(()))
 
@@ -67,35 +62,7 @@ class Tensor:
         return Tensor(self.data.copy())
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
-
-    # convenience arithmetic; every path goes through the module-level ops
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
-
-    def __rsub__(self, other):
-        return sub(_as_tensor(other), self)
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __truediv__(self, other):
-        return div(self, _as_tensor(other))
-
-    def __neg__(self):
-        return mul(self, Tensor(np.asarray(-1.0, dtype=self.data.dtype)))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
+        return f"Tensor(shape={self.data.shape}, tracked={self.tape is not None})"
 
     def __getitem__(self, idx):
         return getitem(self, idx)
@@ -118,9 +85,9 @@ class Tape:
         self._released = 0
         self._consumed = False
 
-    def leaf(self, data, requires_grad=True):
+    def leaf(self, data):
         """Create a leaf tensor attached to this tape."""
-        return Tensor(data, requires_grad=requires_grad, tape=self)
+        return Tensor(data, tape=self)
 
     @property
     def num_ops(self):
@@ -168,15 +135,14 @@ def _op(data, inputs, backward):
     """The output of one op.  When an input is tracked, the op's ``backward``
     closure (which reads ``out.grad``) is recorded on the tape with it."""
     tape = _tape_of(*inputs)
-    tracked = tape is not None and any(t.requires_grad for t in inputs)
-    out = Tensor(data, requires_grad=tracked, tape=tape if tracked else None)
-    if tracked:
+    out = Tensor(data, tape=tape)
+    if tape is not None:
         tape._record(backward, out)
     return out
 
 
 def _accumulate(t: Tensor, g):
-    if not t.requires_grad:
+    if t.tape is None:
         return
     if t.grad is None:
         g = np.asarray(g, dtype=t.data.dtype)
@@ -372,15 +338,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x[..., d_in] @ w[d_in, d_out] + b[d_out]."""
-    if x.shape[-1] != w.shape[0]:
-        raise DimensionError(f"linear: input dim {x.shape[-1]} vs weight {w.shape}")
-    y = matmul(x, w) if x.ndim >= 2 else None
-    if y is None:
-        raise DimensionError("linear expects at least a 2-d input")
-    if b is not None:
-        y = add(y, b)
-    return y
+    """x[..., d_in] @ w[d_in, d_out] + b[d_out]; matmul checks the shapes."""
+    y = matmul(x, w)
+    return y if b is None else add(y, b)
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
@@ -476,7 +436,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             for j in range(kw):
                 gk[:, :, i, j] = g2.T @ tap(xl, i, j).reshape(-1, cin)
         _accumulate(kernels, gk)
-        if x.requires_grad:
+        if x.tape is not None:
             gxp = np.zeros(xl.shape, dtype=xp.dtype)   # channel-last in memory
             for i in range(kh):
                 for j in range(kw):
@@ -519,19 +479,6 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
 # bilinear sampling
 
 
-def _channel_sum(p):
-    """Sum over the leading axis in the order numpy's pairwise summation adds a
-    row of up to 128 entries: bit-identical to ``sum(axis=-1)`` channel-last."""
-    m = p.shape[0] // 8 * 8
-    r = p[:8]
-    for i in range(8, m, 8):
-        r = r + p[i:i + 8]
-    r = r[0] + r[1] + (r[2] + r[3]) + (r[4] + r[5] + (r[6] + r[7])) if m else 0.0
-    for row in p[m:]:
-        r = r + row
-    return r
-
-
 def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     """Sample value_map[C,H,W] at normalized points[N,2] = (u,v) in [0,1]^2.
 
@@ -543,8 +490,8 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     Differentiable in both the map values and the point coordinates.
 
     Channel-major: corners gather as [C, 4, n] and sum 00, 01, 10, 11; each
-    map cell adds its gradient terms in (corner, point) order.  All outputs
-    match the channel-last layout bit for bit (point gradient: C <= 128).
+    map cell adds its gradient terms in (corner, point) order, and the point
+    gradient contracts the channels in one einsum.
     """
     if value_map.ndim not in (3, 4):
         raise DimensionError(f"bilinear_sample expects a [(G,)C,H,W] map, got {value_map.shape}")
@@ -577,13 +524,13 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
 
     def backward():
         g = out.grad.take(idx_in, axis=0).T.copy()  # [C, n_in]
-        if value_map.requires_grad:
+        if value_map.tape is not None:
             gmap = np.stack([np.bincount(cell.ravel(), (gc * wgt).ravel(), minlength=groups * h * w)
                              for gc in g])
             gmap = gmap.reshape(c, groups, h, w).swapaxes(0, 1)
             _accumulate(value_map, gmap.reshape(value_map.shape))
-        if points.requires_grad:
-            dot = _channel_sum(g[:, None] * val)  # [4, n_in]
+        if points.tape is not None:
+            dot = np.einsum("cn,cfn->fn", g, val)  # [4, n_in]
             sgn = valid * [[[-1.0]], [[1.0]]]
             dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
             dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)

@@ -216,26 +216,29 @@ def save_checkpoint(path, cfg, params, adam, rng, epoch, step, wall_seconds):
 
 
 def load_checkpoint(path):
-    with open(path, "rb") as f:
-        size = os.fstat(f.fileno()).st_size
-        if f.read(4) != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a checkpoint file")
-        (version,) = _unpack(f, "<I")
-        if version != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        try:
-            cfg_hash = _read_bytes(f, size).decode()
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: config hash is not UTF-8") from None
-        epoch, step, wall = _unpack(f, "<QQd")
-        rng = _rng_from_bytes(_read_bytes(f, size))
-        sections = []
-        for _ in range(3):
-            (n,) = _unpack(f, "<Q")
-            sections.append(dict(_read_array(f, size) for _ in range(n)))
-        (adam_t,) = _unpack(f, "<Q")
-        if f.read(1):
-            raise CheckpointError(f"{path}: trailing bytes after the checkpoint")
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            if f.read(4) != CHECKPOINT_MAGIC:
+                raise CheckpointError("not a checkpoint file")
+            (version,) = _unpack(f, "<I")
+            if version != CHECKPOINT_VERSION:
+                raise CheckpointError(f"unsupported checkpoint version {version}")
+            try:
+                cfg_hash = _read_bytes(f, size).decode()
+            except UnicodeDecodeError:
+                raise CheckpointError("config hash is not UTF-8") from None
+            epoch, step, wall = _unpack(f, "<QQd")
+            rng = _rng_from_bytes(_read_bytes(f, size))
+            sections = []
+            for _ in range(3):
+                (n,) = _unpack(f, "<Q")
+                sections.append(dict(_read_array(f, size) for _ in range(n)))
+            (adam_t,) = _unpack(f, "<Q")
+            if f.read(1):
+                raise CheckpointError("trailing bytes after the checkpoint")
+    except CheckpointError as e:   # every message names the file, once
+        raise CheckpointError(f"{path}: {e}") from None
     adam = {"step": adam_t, "m": sections[1], "v": sections[2]}
     return {"config_hash": cfg_hash, "epoch": epoch, "step": step,
             "wall_seconds": wall, "rng": rng, "params": sections[0], "adam": adam}
@@ -246,7 +249,7 @@ def restore_checkpoint(path, cfg):
     ck = load_checkpoint(path)
     if ck["config_hash"] != cfg.config_hash():
         raise ConfigHashMismatchError(
-            f"checkpoint hash {ck['config_hash']} != config hash {cfg.config_hash()}")
+            f"{path}: checkpoint hash {ck['config_hash']} != config hash {cfg.config_hash()}")
     return ck
 
 

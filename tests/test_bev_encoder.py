@@ -208,6 +208,56 @@ def test_tsa_history_equals_current_identity(rng):
                        both.emb.data, atol=1e-12)
 
 
+def two_call_tsa_oracle(bev, history, motion, params, prefix, n_heads, n_points, query_pos):
+    """TSA as the mean of two attentions: one over the current grid, one over
+    the warped history."""
+    spec = bev.spec
+    refs = spec.normalize(spec.cell_centers())
+    q = T.add(bev.emb, query_pos)
+    warped = E.warp_history(history.emb, motion, spec)
+    outs = [E.deformable_attention(q, refs, E.map_from_rows(rows, spec.h, spec.w), params,
+                                   prefix, n_heads, n_points) for rows in (bev.emb, warped)]
+    return E.BEVGrid(T.add(bev.emb, T.mul(T.add(*outs), T.Tensor(0.5))), spec)
+
+
+def test_tsa_matches_two_call_oracle(rng):
+    spec = small_spec()
+    dim, heads, k = 8, 2, 3
+    params = make_da_params(rng, dim, dim, heads, k, prefix="tsa")
+    params["tsa/offset/w"] = rng.standard_normal((dim, heads * k * 2)) * 0.05
+    params["tsa/logit/w"] = rng.standard_normal((dim, heads * k))
+    arrays = {"emb": rng.standard_normal((spec.h * spec.w, dim)),
+              "hist": rng.standard_normal((spec.h * spec.w, dim)),
+              "pos": rng.standard_normal((spec.h * spec.w, dim)) * 0.1, **params}
+    weight = rng.standard_normal((spec.h * spec.w, dim))
+    motion = E.EgoMotion(1.3, -0.6, 0.12)
+
+    def run(tsa):
+        tape = T.Tape()
+        leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+        p = {name: leaves[name] for name in params}
+        out = tsa(E.BEVGrid(leaves["emb"], spec), E.BEVGrid(leaves["hist"], spec), motion,
+                  p, "tsa", heads, k, query_pos=leaves["pos"]).emb
+        tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
+        return out.data, {name: t.grad for name, t in leaves.items()}
+
+    got, got_grads = run(E.temporal_self_attention)
+    want, want_grads = run(two_call_tsa_oracle)
+    assert np.abs(got - want).max() / np.abs(want).max() < 1e-12
+    for name, g in want_grads.items():
+        assert np.abs(got_grads[name] - g).max() / np.abs(g).max() < 1e-12, name
+
+
+def test_tsa_with_history_attends_once(rng, count_calls):
+    spec = small_spec()
+    params = make_da_params(rng, 8, 8, 2, 2, prefix="tsa")
+    bev = E.BEVGrid(T.Tensor(rng.standard_normal((12, 8))), spec)
+    hist = E.BEVGrid(T.Tensor(rng.standard_normal((12, 8))), spec)
+    counts = count_calls(E, "deformable_attention")
+    E.temporal_self_attention(bev, hist, E.EgoMotion(0.5, 0.2, 0.1), params, "tsa", 2, 2)
+    assert counts["bev_encoder.deformable_attention"] == 1
+
+
 def test_tsa_grid_mismatch():
     spec = small_spec()
     other = E.BEVGridSpec(4, 3, -9.0, 8.0, -6.0, 6.0)

@@ -1,4 +1,5 @@
 import os
+import shutil
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -111,6 +112,30 @@ def test_eval_needs_checkpoint(data_dir, capsys):
     code, _, err = run(capsys, "eval", "--data", data_dir, *MICRO_SETS)
     assert code == 2
     assert "checkpoint" in err
+
+
+def test_eval_truncated_checkpoint_names_file(data_dir, tmp_path, capsys):
+    ckpt_dir = tmp_path / "ck"
+    assert run(capsys, "train", "--data", data_dir, "--split", "train", "--out",
+               str(ckpt_dir), *MICRO_SETS, "--set", "epochs=0")[0] == 0
+    ckpt = ckpt_dir / "ckpt_epoch_0.bin"
+    ckpt.write_bytes(ckpt.read_bytes()[:100])
+    code, _, err = run(capsys, "eval", "--data", data_dir, "--checkpoint", str(ckpt),
+                       *MICRO_SETS, "--set", "epochs=0")
+    assert code == 1
+    assert f"{ckpt}: truncated checkpoint" in err and "Traceback" not in err
+
+
+def test_train_corrupt_annotations_exits_1(data_dir, tmp_path, capsys):
+    bad = tmp_path / "ds"
+    shutil.copytree(data_dir, bad)
+    scene_id = open(bad / "manifest.txt").read().split()[-1]
+    ann = bad / scene_id / "annotations.txt"
+    ann.write_bytes(ann.read_bytes().replace(b"META ", b"MTEA ", 1))
+    code, _, err = run(capsys, "train", "--data", str(bad), "--out", str(tmp_path / "ck"),
+                       *MICRO_SETS)
+    assert code == 1
+    assert f"{ann}: byte 0: unknown record 'MTEA'" in err and "Traceback" not in err
 
 
 def test_viz_groundtruth_only(data_dir, tmp_path, capsys):

@@ -279,10 +279,16 @@ def perfect_outputs(gts, cfg, confident=20.0):
     return H.HeadOutput(T.Tensor(logits), T.Tensor(center), T.Tensor(left), T.Tensor(right))
 
 
+def stack_outputs(*outs):
+    """Several decoder layers' HeadOutputs stacked layer-major, as total_loss takes them."""
+    return H.HeadOutput(*(T.Tensor(np.concatenate([getattr(o, f).data for o in outs]))
+                          for f in ("cls_logits", "centerline", "left", "right")))
+
+
 def test_total_loss_perfect_predictions():
     cfg = head_cfg()
     gts = [straight_segment(0.0), straight_segment(4.0, CLASS_CROSSWALK)]
-    loss, parts = H.total_loss([perfect_outputs(gts, cfg)], gts, cfg)
+    loss, parts = H.total_loss(perfect_outputs(gts, cfg), gts, cfg)
     assert parts["loss_pts"] == 0.0
     assert parts["loss_bnd"] == 0.0
     assert parts["loss_cls"] < 0.01
@@ -292,7 +298,7 @@ def test_total_loss_perfect_predictions():
 def test_total_loss_empty_groundtruth():
     cfg = head_cfg()
     out = perfect_outputs([], cfg)
-    loss, parts = H.total_loss([out], [], cfg)
+    loss, parts = H.total_loss(out, [], cfg)
     assert parts["loss_pts"] == 0.0
     assert parts["loss_bnd"] == 0.0
     assert loss.item() > 0.0
@@ -310,7 +316,7 @@ def test_total_loss_micro_case_hand_computed():
     left = center + [0.0, 1.0]
     right = center - [0.0, 1.0]
     out = H.HeadOutput(T.Tensor(logits), T.Tensor(center), T.Tensor(left), T.Tensor(right))
-    loss, parts = H.total_loss([out], [gt], cfg)
+    loss, parts = H.total_loss(out, [gt], cfg)
     # matching must pick query 0 (query 1 is 50 m away)
     p0 = np.exp(logits[0]) / np.exp(logits[0]).sum()
     p1 = np.exp(logits[1]) / np.exp(logits[1]).sum()
@@ -328,12 +334,25 @@ def test_total_loss_mean_over_layers():
     cfg = head_cfg()
     gts = [straight_segment(0.0)]
     good = perfect_outputs(gts, cfg)
-    bad_gts = [straight_segment(2.0)]
-    bad = perfect_outputs(bad_gts, cfg)
-    l_good, _ = H.total_loss([good], gts, cfg)
-    l_bad, _ = H.total_loss([bad], gts, cfg)
-    l_both, _ = H.total_loss([good, bad], gts, cfg)
-    assert l_both.item() == pytest.approx((l_good.item() + l_bad.item()) / 2)
+    # the bad layer's lane sits in query 1, not 0: a layer matched on another
+    # layer's block of queries would be scored on the wrong query
+    bad = H.HeadOutput(*(T.Tensor(np.roll(t.data, 1, axis=0)) for t in
+                         vars(perfect_outputs([straight_segment(2.0)], cfg)).values()))
+    l_good, p_good = H.total_loss(good, gts, cfg)
+    l_bad, p_bad = H.total_loss(bad, gts, cfg)
+    l_both, p_both = H.total_loss(stack_outputs(good, bad), gts, cfg)
+    assert l_bad.item() > l_good.item()
+    assert l_both.item() == (l_good.item() + l_bad.item()) / 2
+    assert p_both == {k: (p_good[k] + p_bad[k]) / 2 for k in p_both}
+
+
+@pytest.mark.parametrize("rows", [0, 3, 6])
+def test_total_loss_rejects_partial_layer(rows):
+    cfg = head_cfg()   # 4 queries per decoder layer
+    out = H.HeadOutput(T.Tensor(np.zeros((rows, 3))),
+                       *(T.Tensor(np.zeros((rows, cfg.n_points, 2))) for _ in range(3)))
+    with pytest.raises(ValueError, match="multiple"):
+        H.total_loss(out, [], cfg)
 
 
 def test_total_loss_geometric_terms_nonnegative(rng):
@@ -345,7 +364,7 @@ def test_total_loss_geometric_terms_nonnegative(rng):
                            T.Tensor(rng.standard_normal((n_q, p, 2))),
                            T.Tensor(rng.standard_normal((n_q, p, 2))))
         gts = [straight_segment(rng.uniform(-3, 3))]
-        _, parts = H.total_loss([out], gts, cfg)
+        _, parts = H.total_loss(out, gts, cfg)
         assert parts["loss_pts"] >= 0.0
         assert parts["loss_bnd"] >= 0.0
 
@@ -365,7 +384,7 @@ def test_total_loss_gradcheck_through_head(rng):
 
     def build(e, r):
         out = H.head_outputs(L.LaneQuerySet(e, r), params, cfg)
-        loss, _ = H.total_loss([out], gts, cfg)
+        loss, _ = H.total_loss(out, gts, cfg)
         return loss
 
     check_gradients(build, [emb, refs], rtol=1e-3)

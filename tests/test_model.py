@@ -48,6 +48,21 @@ def test_scene_loss_finite_and_deterministic(scene, cfg, params):
         parts1["loss_cls"] + parts1["loss_pts"] + parts1["loss_bnd"], rel=1e-9)
 
 
+def test_scene_loss_one_head_pass_per_frame(scene, count_calls):
+    cfg = ExperimentConfig(**{**MICRO, "n_decoder_layers": 3})
+    params = M.init_model_params(cfg, np.random.default_rng(0))
+    counts = count_calls(M, "head_outputs", "total_loss")
+    loss, _ = M.scene_loss(scene, params, cfg)
+    assert counts["model.head_outputs"] == counts["model.total_loss"] == len(scene.frames)
+    # the stacked pass scores every layer: the mean of the per-layer losses
+    per_frame = []
+    for t, qsets in enumerate(M._run_scene(scene, params, cfg)):
+        layers = [M.total_loss(M.head_outputs(q, params, cfg), scene.groundtruth[t], cfg)[0]
+                  for q in qsets]
+        per_frame.append(np.mean([layer.item() for layer in layers]))
+    assert loss.item() == pytest.approx(np.mean(per_frame), rel=1e-12)
+
+
 def test_history_changes_later_frames(scene, cfg, params):
     # frame 1 with threaded history vs frame 1 treated as a sequence start
     frame0, frame1 = scene.frames[0], scene.frames[1]
@@ -92,8 +107,8 @@ def test_loss_gradient_spot_check_finite_difference(scene, cfg, params):
         frame = scene.frames[0]
         qsets, _ = M.forward_frame(frame.images, frame.cameras, None, EgoMotion(),
                                    p, cfg)
-        outs = [M.head_outputs(q, p, cfg) for q in qsets]
-        return M.total_loss(outs, scene.groundtruth[0], cfg)[0]
+        out = M.head_outputs(M.stack_layers(qsets), p, cfg)
+        return M.total_loss(out, scene.groundtruth[0], cfg)[0]
 
     tape = T.Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
@@ -141,8 +156,8 @@ def test_scene_runner_matches_frames_threaded_by_hand(scene, cfg, params):
     for t, frame in enumerate(scene.frames):
         qsets, bev = M.forward_frame(frame.images, frame.cameras, history,
                                      M._frame_motion(scene, t), params, cfg)
-        outs = [M.head_outputs(q, params, cfg) for q in qsets]
-        losses.append(M.total_loss(outs, scene.groundtruth[t], cfg)[0].item())
+        out = M.head_outputs(M.stack_layers(qsets), params, cfg)
+        losses.append(M.total_loss(out, scene.groundtruth[t], cfg)[0].item())
         preds[f"{scene.scene_id}/frame_{t}"] = M.predict(qsets[-1], params, cfg)
         history = BEVGrid(bev.emb.detach(), bev.spec)
     assert len(losses) == 2

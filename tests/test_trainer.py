@@ -228,8 +228,10 @@ def test_checkpoint_truncated_at_every_offset(tmp_path, rng):
     for cut in range(len(data)):
         with open(path, "wb") as f:
             f.write(data[:cut])
-        with pytest.raises(TR.CheckpointError):
+        with pytest.raises(TR.CheckpointError) as exc:
             TR.load_checkpoint(path)
+        # every message names the file, once, as its prefix
+        assert str(exc.value).startswith(path + ": ") and str(exc.value).count(path) == 1
 
 
 def test_checkpoint_trailing_bytes(tmp_path, rng):
