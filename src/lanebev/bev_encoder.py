@@ -145,7 +145,8 @@ def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params,
 
     As in Deformable DETR, every head samples in one grouped
     ``bilinear_sample`` call over a [heads, d_head, H, W] view of the value
-    map, with the points laid out head-major as [heads*N*K, 2].
+    map, with the points laid out head-major as [heads*N*K, 2] and the
+    attention weights folded into the kernel as [heads*N, K].
     """
     n, dim = queries.shape
     if dim % n_heads != 0:
@@ -157,18 +158,14 @@ def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params,
     value = run_linear(flat, params, prefix + "/value")          # [H*W, D]
     value_maps = T.reshape(map_from_rows(value, h, w), (n_heads, d_head, h, w))
 
-    refs = T._as_tensor(ref_points)
-    offsets = T.reshape(run_linear(queries, params, prefix + "/offset"),
-                        (n, n_heads * n_points, 2))
-    sample_pts = T.add(T.reshape(refs, (n, 1, 2)), offsets)      # [N, h*K, 2]
-    pts = T.transpose(T.reshape(sample_pts, (n, n_heads, n_points, 2)), (1, 0, 2, 3))
+    refs = T.reshape(T._as_tensor(ref_points), (n, 1, 1, 2))
+    offsets = T.reshape(run_linear(queries, params, prefix + "/offset"), (n, n_heads, n_points, 2))
+    pts = T.transpose(T.add(refs, offsets), (1, 0, 2, 3))          # [h, N, K, 2]
     logits = T.reshape(run_linear(queries, params, prefix + "/logit"), (n, n_heads, n_points))
-    attn = T.transpose(T.softmax(logits, axis=-1), (1, 0, 2))    # [h, N, K]
+    attn = T.reshape(T.transpose(T.softmax(logits, axis=-1), (1, 0, 2)), (n_heads * n, n_points))
 
-    sampled = T.bilinear_sample(value_maps, T.reshape(pts, (n_heads * n * n_points, 2)))
-    sampled = T.reshape(sampled, (n_heads, n, n_points, d_head))
-    weighted = T.tsum(T.mul(sampled, T.reshape(attn, (n_heads, n, n_points, 1))), axis=2)
-    mixed = T.reshape(T.transpose(weighted, (1, 0, 2)), (n, dim))  # [N, D]
+    weighted = T.bilinear_sample(value_maps, T.reshape(pts, (n_heads * n * n_points, 2)), attn)
+    mixed = T.reshape(T.transpose(T.reshape(weighted, (n_heads, n, d_head)), (1, 0, 2)), (n, dim))
     return run_linear(mixed, params, prefix + "/out")
 
 

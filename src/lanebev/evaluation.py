@@ -33,43 +33,41 @@ def chamfer_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * (d.min(axis=1).mean() + d.min(axis=0).mean())
 
 
-def _greedy_tp_flags(pred_by_scene, gt_by_scene, class_id, threshold):
-    """Scores and TP/FP flags over every prediction of one class.
-
-    Greedy one-to-one matching in global descending score order; each
-    prediction may claim the nearest unmatched same-scene groundtruth
-    within the Chamfer threshold.  Returns (scores, flags, n_gt).
-    """
-    entries = []   # (score, scene_index, segment)
-    n_gt = 0
+def _class_entries(pred_by_scene, gt_by_scene, class_id):
+    """A class's predictions by descending score as (score, scene index,
+    [(groundtruth index, Chamfer distance)] over the scene's groundtruth of
+    that class), and the class's groundtruth count: every threshold reuses
+    these distances."""
+    entries, n_gt = [], 0
     for si, (preds, gts) in enumerate(zip(pred_by_scene, gt_by_scene)):
-        n_gt += sum(1 for g in gts if g.class_id == class_id)
-        for p in preds:
-            if p.class_id == class_id:
-                entries.append((p.score, si, p))
+        same = [(gi, g) for gi, g in enumerate(gts) if g.class_id == class_id]
+        n_gt += len(same)
+        entries += [(p.score, si, [(gi, chamfer_distance(p.centerline, g.centerline))
+                                   for gi, g in same]) for p in preds if p.class_id == class_id]
     entries.sort(key=lambda e: -e[0])
-    claimed = [set() for _ in pred_by_scene]
-    scores = np.array([e[0] for e in entries])
+    return entries, n_gt
+
+
+def _greedy_tp_flags(entries, n_scenes, threshold):
+    """TP/FP flags over a class's entries: greedy one-to-one matching in
+    global descending score order; each prediction may claim the nearest
+    unmatched same-scene groundtruth within the Chamfer threshold."""
+    claimed = [set() for _ in range(n_scenes)]
     flags = np.zeros(len(entries), dtype=bool)
-    for i, (_, si, p) in enumerate(entries):
+    for i, (_, si, dists) in enumerate(entries):
         best, best_gi = np.inf, None
-        for gi, g in enumerate(gt_by_scene[si]):
-            if g.class_id != class_id or gi in claimed[si]:
-                continue
-            d = chamfer_distance(p.centerline, g.centerline)
-            if d < best:
+        for gi, d in dists:
+            if gi not in claimed[si] and d < best:
                 best, best_gi = d, gi
         if best_gi is not None and best <= threshold:
             claimed[si].add(best_gi)
             flags[i] = True
-    return scores, flags, n_gt
+    return flags
 
 
 def _ap_from_flags(flags, n_gt) -> float:
     """All-points interpolated area under the precision-recall curve."""
-    if n_gt == 0:
-        return 0.0
-    if len(flags) == 0:
+    if n_gt == 0 or len(flags) == 0:
         return 0.0
     tp = np.cumsum(flags)
     fp = np.cumsum(~flags)
@@ -84,8 +82,8 @@ def _ap_from_flags(flags, n_gt) -> float:
 
 
 def average_precision(pred_by_scene, gt_by_scene, class_id, threshold) -> float:
-    scores, flags, n_gt = _greedy_tp_flags(pred_by_scene, gt_by_scene, class_id, threshold)
-    return _ap_from_flags(flags, n_gt)
+    entries, n_gt = _class_entries(pred_by_scene, gt_by_scene, class_id)
+    return _ap_from_flags(_greedy_tp_flags(entries, len(pred_by_scene), threshold), n_gt)
 
 
 @dataclass
@@ -128,12 +126,14 @@ def evaluate(predictions: dict, groundtruth: dict,
 
     gt_classes = [c for c in FOREGROUND_CLASSES
                   if any(g.class_id == c for gts in gt_by_scene for g in gts)]
+    tables = {cls: _class_entries(pred_by_scene, gt_by_scene, cls) for cls in gt_classes}
     ap = {}
     counts = {}
     for thr in thresholds:
         tp_tot = fp_tot = fn_tot = 0
         for cls in gt_classes:
-            scores, flags, n_gt = _greedy_tp_flags(pred_by_scene, gt_by_scene, cls, thr)
+            entries, n_gt = tables[cls]
+            flags = _greedy_tp_flags(entries, len(scene_ids), thr)
             ap[(cls, thr)] = _ap_from_flags(flags, n_gt)
             tp_tot += int(flags.sum())
             fp_tot += int((~flags).sum())

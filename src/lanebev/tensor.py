@@ -14,6 +14,7 @@ Conventions:
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse
 
 
 class DimensionError(ValueError):
@@ -479,31 +480,33 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
 # bilinear sampling
 
 
-def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
+def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = None) -> Tensor:
     """Sample value_map[C,H,W] at normalized points[N,2] = (u,v) in [0,1]^2.
 
     A grouped map [G,C,H,W] takes points [G*N,2]: rows g*N:(g+1)*N sample
     group g, and the output is [G*N,C] (deformable attention passes its
     heads as groups).  Align-corners-false: pixel (r, c) center sits at
     u=(c+0.5)/W, v=(r+0.5)/H.  Points outside the unit square return zeros;
-    neighbours outside the map contribute zero (border-zero policy).
-    Differentiable in both the map values and the point coordinates.
+    neighbours outside the map contribute zero (border-zero policy).  With
+    weights [R,K], output row r is sum_k weights[r, k] * sample(points[r*K+k]).
 
-    Channel-major: corners gather as [C, 4, n] and sum 00, 01, 10, 11; each
-    map cell adds its gradient terms in (corner, point) order, and the point
-    gradient contracts the channels in one einsum.
+    One CSR matrix S [R, G*H*W] holds corner weight times point weight per
+    point and corner (00, 01, 10, 11) over the map's channel-last rows: the
+    forward is S @ rows, the map gradient S.T @ g, both in (point, corner) order.
     """
     if value_map.ndim not in (3, 4):
         raise DimensionError(f"bilinear_sample expects a [(G,)C,H,W] map, got {value_map.shape}")
     maps = value_map.data if value_map.ndim == 4 else value_map.data[None]
     groups, c, h, w = maps.shape
-    if points.ndim != 2 or points.shape[1] != 2 or points.shape[0] % groups:
-        raise DimensionError(f"points must be [G*N,2] for {groups} groups, got {points.shape}")
-    n = points.shape[0]
+    n = points.data.size // 2
+    shape = (n, 1) if weights is None else weights.shape
+    if points.shape != (n, 2) or len(shape) != 2 or shape[0] * shape[1] != n or shape[0] % groups:
+        raise DimensionError(f"points {points.shape} and weights {shape} unfit for {groups} groups")
+    rows, k = shape
     u, v = points.data.T
     inside = (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
-    # out-of-square points contribute (and receive) exactly zero, so all
-    # gather/scatter work runs on the in-bounds subset only
+    # out-of-square points contribute (and receive) exactly zero, so they get
+    # no matrix entries and the gradients visit the in-bounds subset only
     idx_in = np.nonzero(inside)[0]
 
     # per axis (x, y), lo is in [-1, size-1] inside the square: each neighbour
@@ -517,20 +520,27 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
     # the corners, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
     cell = ((at[:, 1] * w + idx_in // (n // groups) * (h * w))[:, None] + at[:, 0]).reshape(4, -1)
     wgt = (wts[:, 1, None] * wts[:, 0]).reshape(4, -1)
-    val = maps.transpose(1, 0, 2, 3).reshape(c, -1).take(cell, axis=1)  # [C, 4, n_in]
-
-    result = np.zeros((n, c), dtype=maps.dtype)
-    result[idx_in] = (val * wgt).sum(axis=1).T
+    pw = None if weights is None else weights.data.reshape(-1).take(idx_in)
+    indptr = np.concatenate([[0], np.cumsum(4 * np.bincount(idx_in // k, minlength=rows))])
+    interp = scipy.sparse.csr_matrix(((wgt if pw is None else wgt * pw).T.ravel(),
+                                      cell.T.ravel(), indptr), shape=(rows, groups * h * w))
+    vrows = maps.transpose(0, 2, 3, 1).reshape(-1, c)  # [G*H*W, C]
 
     def backward():
-        g = out.grad.take(idx_in, axis=0).T.copy()  # [C, n_in]
+        g, rows_in = out.grad, idx_in // k
         if value_map.tape is not None:
-            gmap = np.stack([np.bincount(cell.ravel(), (gc * wgt).ravel(), minlength=groups * h * w)
-                             for gc in g])
-            gmap = gmap.reshape(c, groups, h, w).swapaxes(0, 1)
+            gmap = (interp.T @ g).reshape(groups, h, w, c).transpose(0, 3, 1, 2)
             _accumulate(value_map, gmap.reshape(value_map.shape))
+        # per entry g[row] . map row [4, n_in]; small maps: one product per group
+        if rows * h * w <= 4 * len(idx_in) * c:
+            prod = g.reshape(groups, -1, c) @ vrows.reshape(groups, h * w, c).transpose(0, 2, 1)
+            dot = prod.reshape(-1).take(cell + (rows_in - rows_in // (rows // groups)) * (h * w))
+        else:
+            dot = np.einsum("nc,fnc->fn", g.take(rows_in, axis=0), vrows.take(cell, axis=0))
+        if weights is not None:
+            _accumulate(weights, np.bincount(idx_in, (dot * wgt).sum(axis=0), n).reshape(rows, k))
+            dot *= pw
         if points.tape is not None:
-            dot = np.einsum("cn,cfn->fn", g, val)  # [4, n_in]
             sgn = valid * [[[-1.0]], [[1.0]]]
             dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
             dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)
@@ -538,5 +548,5 @@ def bilinear_sample(value_map: Tensor, points: Tensor) -> Tensor:
             gpts[idx_in, 0] = (dot * dwx * w).sum(axis=0)
             gpts[idx_in, 1] = (dot * dwy * h).sum(axis=0)
             _accumulate(points, gpts)
-    out = _op(result, (value_map, points), backward)
+    out = _op(interp @ vrows, (value_map, points) + (() if weights is None else (weights,)), backward)
     return out

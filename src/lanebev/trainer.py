@@ -98,25 +98,28 @@ class TrainLog:
     epoch_seconds: list = field(default_factory=list)
     path: str | None = None
 
-    CSV_HEADER = "step,epoch,loss_total,loss_cls,loss_pts,loss_bnd,wall_ms,grad_norm,lr,clipped"
+    CSV_HEADER = ("step,epoch,loss_total,loss_cls,loss_pts,loss_bnd,wall_ms,grad_norm,lr,clipped,"
+                  "fwd_ms,bwd_ms,opt_ms")
 
-    def record(self, step, epoch, parts, wall_ms, grad_norm=None, lr=None, clipped=None):
-        """Append one step; the optimizer fields are left empty in the CSV when not given."""
+    def record(self, step, epoch, parts, wall_ms, grad_norm=None, lr=None, clipped=None,
+               fwd_ms=None, bwd_ms=None, opt_ms=None):
+        """Append one step; optimizer and stage fields not given are left empty in the CSV."""
         if self.steps and step <= self.steps[-1]["step"]:
             raise ValueError("steps must be strictly increasing")
         row = {"step": step, "epoch": epoch, "wall_ms": wall_ms, **parts,
-               "grad_norm": grad_norm, "lr": lr, "clipped": clipped}
+               "grad_norm": grad_norm, "lr": lr, "clipped": clipped,
+               "fwd_ms": fwd_ms, "bwd_ms": bwd_ms, "opt_ms": opt_ms}
         self.steps.append(row)
         if self.path:
             new = not os.path.exists(self.path)
+            losses = ",".join(f"{parts['loss_' + k]:.9g}" for k in ("total", "cls", "pts", "bnd"))
             opt = ",".join("" if v is None else repr(float(v)) for v in (grad_norm, lr))
             flag = "" if clipped is None else int(clipped)
+            stages = ",".join("" if v is None else f"{v:.3f}" for v in (fwd_ms, bwd_ms, opt_ms))
             with open(self.path, "a") as f:
                 if new:
                     f.write(self.CSV_HEADER + "\n")
-                f.write(f"{step},{epoch},{parts['loss_total']:.9g},"
-                        f"{parts['loss_cls']:.9g},{parts['loss_pts']:.9g},"
-                        f"{parts['loss_bnd']:.9g},{wall_ms:.3f},{opt},{flag}\n")
+                f.write(f"{step},{epoch},{losses},{wall_ms:.3f},{opt},{flag},{stages}\n")
 
     def losses(self):
         return [r["loss_total"] for r in self.steps]
@@ -264,19 +267,23 @@ def _lr_at(cfg, step):
 
 
 def _train_step(scene, params, adam, cfg):
-    """One optimizer step; returns the loss parts and the step's optimizer
-    stats (pre-clip gradient norm, learning rate, whether clipping fired)."""
+    """One optimizer step; returns the loss parts and the step's stats (pre-clip
+    gradient norm, learning rate, whether clipping fired, stage wall ms)."""
+    t0 = time.perf_counter()
     tape = Tape()
     leaves = {k: tape.leaf(v) for k, v in params.items()}
     loss, parts = scene_loss(scene, leaves, cfg)
     if not np.isfinite(loss.data):
         raise TrainingDivergedError(f"non-finite loss {float(loss.data)}")
+    t1 = time.perf_counter()
     tape.backward(loss)
+    t2 = time.perf_counter()
     grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
     norm = clip_global_norm(grads, cfg.grad_clip)
     lr = _lr_at(cfg, adam["step"] + 1)
     adam_step(params, grads, adam, lr, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
-    return parts, {"grad_norm": norm, "lr": lr, "clipped": bool(norm > cfg.grad_clip)}
+    stages = dict(zip(("fwd_ms", "bwd_ms", "opt_ms"), np.diff([t0, t1, t2, time.perf_counter()]) * 1e3))
+    return parts, {"grad_norm": norm, "lr": lr, "clipped": bool(norm > cfg.grad_clip), **stages}
 
 
 def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,

@@ -140,6 +140,79 @@ def test_deform_attn_sample_point_permutation_invariance(rng):
     assert np.allclose(base.data, permuted.data, atol=1e-12)
 
 
+def sample_weight_sum_oracle(queries, ref_points, value_map, params, prefix, n_heads, n_points):
+    """Deformable attention with the weighting as separate taped ops: sample
+    every point, multiply the [heads, N, K, d_head] samples by the attention
+    weights and sum over K."""
+    n, dim = queries.shape
+    d_head = dim // n_heads
+    c, h, w = value_map.shape
+    flat = T.reshape(T.transpose(value_map, (1, 2, 0)), (h * w, c))
+    value = E.run_linear(flat, params, prefix + "/value")
+    value_maps = T.reshape(E.map_from_rows(value, h, w), (n_heads, d_head, h, w))
+    offsets = T.reshape(E.run_linear(queries, params, prefix + "/offset"),
+                        (n, n_heads * n_points, 2))
+    sample_pts = T.add(T.reshape(T.Tensor(ref_points), (n, 1, 2)), offsets)
+    pts = T.transpose(T.reshape(sample_pts, (n, n_heads, n_points, 2)), (1, 0, 2, 3))
+    logits = T.reshape(E.run_linear(queries, params, prefix + "/logit"), (n, n_heads, n_points))
+    attn = T.transpose(T.softmax(logits, axis=-1), (1, 0, 2))
+    sampled = T.bilinear_sample(value_maps, T.reshape(pts, (n_heads * n * n_points, 2)))
+    sampled = T.reshape(sampled, (n_heads, n, n_points, d_head))
+    weighted = T.tsum(T.mul(sampled, T.reshape(attn, (n_heads, n, n_points, 1))), axis=2)
+    mixed = T.reshape(T.transpose(weighted, (1, 0, 2)), (n, dim))
+    return E.run_linear(mixed, params, prefix + "/out")
+
+
+def _random_da_arrays(rng, n, dim, c, heads, k, hw=(4, 5)):
+    params = make_da_params(rng, dim, c, heads, k)
+    for name in ("offset", "logit"):
+        params[f"da/{name}/w"] = rng.standard_normal(params[f"da/{name}/w"].shape) * 0.1
+        params[f"da/{name}/b"] = rng.standard_normal(params[f"da/{name}/b"].shape) * 0.2
+    return params, {"q": rng.standard_normal((n, dim)),
+                    "vmap": rng.standard_normal((c,) + hw), **params}
+
+
+def test_deform_attn_matches_sample_weight_sum_oracle(rng):
+    heads, k, dim, c, n = 2, 3, 8, 5, 9
+    params, arrays = _random_da_arrays(rng, n, dim, c, heads, k)
+    refs = rng.uniform(0.05, 0.95, (n, 2))
+    weight = rng.standard_normal((n, dim))
+
+    def run(attend):
+        tape = T.Tape()
+        leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+        out = attend(leaves["q"], refs, leaves["vmap"], {p: leaves[p] for p in params},
+                     "da", heads, k)
+        tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
+        return out.data, {name: t.grad for name, t in leaves.items()}
+
+    got, got_grads = run(E.deformable_attention)
+    want, want_grads = run(sample_weight_sum_oracle)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert set(got_grads) == set(arrays)
+    for name, g in want_grads.items():
+        assert np.abs(got_grads[name] - g).max() <= 1e-12 * np.abs(g).max(), name
+
+
+def test_deform_attn_records_one_fused_sampling_op(rng, monkeypatch):
+    recorded = []
+    record = T.Tape._record
+
+    def spy(tape, backward_fn, *args, **kwargs):
+        recorded.append(backward_fn.__qualname__.split(".<locals>")[0])
+        return record(tape, backward_fn, *args, **kwargs)
+
+    monkeypatch.setattr(T.Tape, "_record", spy)
+    heads, k, dim, c, n = 2, 3, 8, 5, 4
+    params, arrays = _random_da_arrays(rng, n, dim, c, heads, k)
+    tape = T.Tape()
+    leaves = {name: tape.leaf(a) for name, a in arrays.items()}
+    E.deformable_attention(leaves["q"], rng.uniform(0.2, 0.8, (n, 2)), leaves["vmap"],
+                           {p: leaves[p] for p in params}, "da", heads, k)
+    assert recorded.count("bilinear_sample") == 1
+    assert "mul" not in recorded and "tsum" not in recorded
+
+
 def test_deform_attn_head_divisibility():
     params = make_da_params(np.random.default_rng(0), 8, 4, 2, 2)
     with pytest.raises(ConfigError):

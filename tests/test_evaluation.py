@@ -170,3 +170,56 @@ def test_report_text_stable_keys():
     assert a.startswith("map = ")
     assert "ap/class_1/t_0.5" in a
     assert "counts/t_1/tp" in a
+
+
+def test_evaluate_computes_each_chamfer_distance_once(monkeypatch):
+    calls = []
+    chamfer = EV.chamfer_distance
+    monkeypatch.setattr(EV, "chamfer_distance", lambda a, b: calls.append(1) or chamfer(a, b))
+    gt = {"a": [seg(0.0), seg(5.0, CLASS_CROSSWALK), seg(3.0)], "b": [seg(-3.0)]}
+    preds = {"a": [seg(0.75, score=0.9), seg(2.0, score=0.4),
+                   seg(5.0, CLASS_CROSSWALK, score=0.8)],
+             "b": [seg(-2.5, score=0.7)]}
+    rep = EV.evaluate(preds, gt)
+    # lane: 2 predictions x 2 groundtruth in "a", 1 x 1 in "b"; crosswalk: 1 x 1
+    assert len(calls) == 2 * 2 + 1 + 1
+    assert len(rep.ap) == 6
+
+
+def lazy_greedy_oracle(pred_by_scene, gt_by_scene, class_id, threshold):
+    """Greedy matching for one threshold, each distance computed when a
+    prediction looks at an unclaimed groundtruth.  Returns (flags, n_gt)."""
+    entries = sorted(((p.score, si, p) for si, preds in enumerate(pred_by_scene)
+                      for p in preds if p.class_id == class_id), key=lambda e: -e[0])
+    n_gt = sum(g.class_id == class_id for gts in gt_by_scene for g in gts)
+    claimed = [set() for _ in pred_by_scene]
+    flags = np.zeros(len(entries), dtype=bool)
+    for i, (_, si, p) in enumerate(entries):
+        best, best_gi = np.inf, None
+        for gi, g in enumerate(gt_by_scene[si]):
+            if g.class_id == class_id and gi not in claimed[si]:
+                d = EV.chamfer_distance(p.centerline, g.centerline)
+                if d < best:
+                    best, best_gi = d, gi
+        if best_gi is not None and best <= threshold:
+            claimed[si].add(best_gi)
+            flags[i] = True
+    return flags, n_gt
+
+
+def test_evaluate_matches_lazy_greedy_oracle(rng):
+    classes = (CLASS_LANE, CLASS_CROSSWALK)
+    gt = {f"s{i}": [seg(rng.uniform(-6, 6), classes[rng.integers(2)]) for _ in range(4)]
+          for i in range(3)}
+    preds = {s: [seg(g.centerline[0, 1] + rng.normal(0.0, 0.8), g.class_id, rng.uniform())
+                 for g in gts for _ in range(rng.integers(0, 3))] for s, gts in gt.items()}
+    rep = EV.evaluate(preds, gt)
+    scenes = sorted(gt)
+    for thr in EV.DEFAULT_THRESHOLDS:
+        tp = fp = fn = 0
+        for cls in classes:
+            flags, n_gt = lazy_greedy_oracle([preds[s] for s in scenes], [gt[s] for s in scenes],
+                                             cls, thr)
+            assert rep.ap[(cls, thr)] == EV._ap_from_flags(flags, n_gt)
+            tp, fp, fn = tp + flags.sum(), fp + (~flags).sum(), fn + n_gt - flags.sum()
+        assert rep.counts[thr] == (tp, fp, fn)

@@ -144,12 +144,12 @@ def _bilinear_with_grads(m, pts, w):
 
 
 def _map_grad_oracle(m, pts, g):
-    """Map gradient of sum(g * bilinear_sample(m, pts)), accumulated corner by
-    corner (00, 01, 10, 11) and within a corner in point order."""
+    """Map gradient of sum(g * bilinear_sample(m, pts)), accumulated point by
+    point and within a point corner by corner (00, 01, 10, 11)."""
     c, h, w = m.shape
     want = np.zeros((c, h, w))
-    for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        for (u, v), gp in zip(pts, g):
+    for (u, v), gp in zip(pts, g):
+        for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
             xf, yf = u * w - 0.5, v * h - 0.5
             x, y = int(np.floor(xf)) + dx, int(np.floor(yf)) + dy
             if 0 <= u <= 1 and 0 <= v <= 1 and 0 <= x < w and 0 <= y < h:
@@ -176,25 +176,34 @@ def test_grouped_bilinear_matches_per_group_calls(rng):
         assert np.array_equal(gpts[rows], pk)
 
 
-def _bilinear_oracle(m, pts, g):
+def _bilinear_oracle(m, pts, g, weights=None):
     """Per point, in scalar loops: the sample [C] (corners added 00, 01, 10, 11)
-    and the gradient of sum(g * sample) with respect to (u, v)."""
+    and the gradient of sum(g * sample) with respect to (u, v).
+
+    With weights [R, K], output row r is sum_k weights[r, k] * the sample of
+    point r*K + k, g is per output row, and the point gradient is that of
+    sum(g * output)."""
     c, h, w = m.shape
-    out, gpts = np.zeros((len(pts), c)), np.zeros((len(pts), 2))
-    for i, ((u, v), gp) in enumerate(zip(pts, g)):
+    k = 1 if weights is None else weights.shape[1]
+    wflat = np.ones(len(pts)) if weights is None else weights.ravel()
+    out, gpts = np.zeros((len(pts) // k, c)), np.zeros((len(pts), 2))
+    for i, ((u, v), wi) in enumerate(zip(pts, wflat)):
         if not (0 <= u <= 1 and 0 <= v <= 1):
             continue
+        gp = g[i // k]
         xf, yf = u * w - 0.5, v * h - 0.5
         x0, y0 = int(np.floor(xf)), int(np.floor(yf))
         wx, wy = xf - x0, yf - y0
+        sample = np.zeros(c)
         for dy, dx in ((0, 0), (0, 1), (1, 0), (1, 1)):
             x, y = x0 + dx, y0 + dy
             if 0 <= x < w and 0 <= y < h:
                 ax, ay = (wx if dx else 1.0 - wx), (wy if dy else 1.0 - wy)
-                out[i] += ax * ay * m[:, y, x]
-                dot = float(gp @ m[:, y, x])
+                sample += ax * ay * m[:, y, x]
+                dot = wi * float(gp @ m[:, y, x])
                 gpts[i, 0] += dot * (1.0 if dx else -1.0) * ay * w
                 gpts[i, 1] += dot * (1.0 if dy else -1.0) * ax * h
+        out[i // k] += wi * sample
     return out, gpts
 
 
@@ -230,6 +239,68 @@ def test_bilinear_matches_scalar_oracle(rng, groups, c, h, w):
 def test_grouped_bilinear_rejects_uneven_points():
     with pytest.raises(T.DimensionError):
         T.bilinear_sample(T.Tensor(np.zeros((3, 2, 4, 4))), T.Tensor(np.zeros((7, 2))))
+
+
+def _assert_close(got, want):
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("groups, c, h, w", [
+    (0, 3, 4, 5), (3, 2, 4, 5),    # the 3-D and the grouped form
+    (0, 2, 1, 1), (2, 3, 1, 1),    # 1-pixel maps
+    (0, 9, 2, 3), (2, 16, 3, 1),   # channel sums past eight
+])
+def test_weighted_bilinear_matches_scalar_oracle(rng, groups, c, h, w, k):
+    n = 30
+    maps = rng.standard_normal((max(groups, 1), c, h, w))
+    pts = rng.uniform(-0.1, 1.1, size=(len(maps) * n, 2))
+    for j in range(len(maps)):
+        pts[j * n:j * n + len(EDGE_POINTS)] = EDGE_POINTS
+    wts = rng.standard_normal((len(pts) // k, k))
+    g = rng.standard_normal((len(wts), c))
+    tape = T.Tape()
+    a, p, q = tape.leaf(maps if groups else maps[0]), tape.leaf(pts), tape.leaf(wts)
+    out = T.bilinear_sample(a, p, q)
+    tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    gmap = a.grad if groups else a.grad[None]
+    for j in range(len(maps)):
+        rows, span = slice(j * n // k, (j + 1) * n // k), slice(j * n, (j + 1) * n)
+        g_pt = g[rows].repeat(k, axis=0)   # each point's output-row gradient
+        want, want_pts = _bilinear_oracle(maps[j], pts[span], g[rows], wts[rows])
+        samples, _ = _bilinear_oracle(maps[j], pts[span], g_pt)
+        _assert_close(out.data[rows], want)
+        _assert_close(gmap[j], _map_grad_oracle(maps[j], pts[span],
+                                                wts[rows].reshape(-1, 1) * g_pt))
+        _assert_close(p.grad[span], want_pts)
+        _assert_close(q.grad[rows], (samples * g_pt).sum(axis=1).reshape(-1, k))
+
+
+def test_unit_weights_equal_unweighted_call(rng):
+    maps = rng.standard_normal((3, 2, 4, 5))
+    pts = rng.uniform(-0.1, 1.1, size=(60, 2))
+    g = rng.standard_normal((60, 2))
+    want = _bilinear_with_grads(maps, pts, g)
+    tape = T.Tape()
+    a, p, q = tape.leaf(maps), tape.leaf(pts), tape.leaf(np.ones((60, 1)))
+    out = T.bilinear_sample(a, p, q)
+    tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    for got, ref in zip((out.data, a.grad, p.grad), want):
+        assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("map_shape, shape", [
+    ((2, 4, 4), (6,)),           # not 2-D
+    ((2, 4, 4), (1, 6, 1)),
+    ((2, 4, 4), (4, 2)),         # R*K != number of points
+    ((2, 4, 4), (7, 1)),
+    ((2, 2, 4, 4), (3, 2)),      # R not divisible by the 2 groups
+])
+def test_bilinear_rejects_bad_weights(map_shape, shape):
+    with pytest.raises(T.DimensionError):
+        T.bilinear_sample(T.Tensor(np.zeros(map_shape)), T.Tensor(np.full((6, 2), 0.5)),
+                          T.Tensor(np.ones(shape)))
 
 
 def test_layer_norm_constant_zero():
@@ -438,6 +509,14 @@ def test_grad_grouped_bilinear(rng):
     pts = rng.uniform(0.15, 0.85, size=(8, 2))
     check_gradients(lambda a, p: T.tsum(T.mul(T.bilinear_sample(a, p), T.bilinear_sample(a, p))),
                     [m, pts], rtol=1e-3)
+
+
+def test_grad_weighted_bilinear(rng):
+    m = rng.standard_normal((2, 3, 4, 5))
+    pts = rng.uniform(0.15, 0.85, size=(12, 2))
+    wts = rng.standard_normal((4, 3))
+    check_gradients(lambda a, p, q: T.tsum(T.mul(y := T.bilinear_sample(a, p, q), y)),
+                    [m, pts, wts], rtol=1e-3)
 
 
 def _grad_of(op, x, g):

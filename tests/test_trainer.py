@@ -163,6 +163,21 @@ def test_trainlog_csv_round_trip(tmp_path, scenes):
         assert bool(int(got["clipped"])) is want["clipped"]
 
 
+def test_trainlog_stage_times(tmp_path, scenes):
+    import csv
+    path = tmp_path / "train_log.csv"
+    log, _, _ = TR.train(micro_cfg(epochs=1), scenes, log_path=str(path))
+    with open(path) as f:
+        rows = list(csv.DictReader(f))
+    stages = ("fwd_ms", "bwd_ms", "opt_ms")
+    assert list(rows[0])[-3:] == list(stages)
+    for got, want in zip(rows, log.steps):
+        for key in stages:
+            assert float(got[key]) > 0.0
+            assert float(got[key]) == pytest.approx(want[key], abs=5e-4)   # written at 3 decimals
+        assert sum(want[key] for key in stages) <= want["wall_ms"]
+
+
 # -- checkpoints --
 
 
