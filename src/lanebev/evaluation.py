@@ -48,19 +48,19 @@ def _class_entries(pred_by_scene, gt_by_scene, class_id):
     return entries, n_gt
 
 
-def _greedy_tp_flags(entries, n_scenes, threshold):
+def _greedy_tp_flags(entries, threshold):
     """TP/FP flags over a class's entries: greedy one-to-one matching in
     global descending score order; each prediction may claim the nearest
     unmatched same-scene groundtruth within the Chamfer threshold."""
-    claimed = [set() for _ in range(n_scenes)]
+    claimed = set()  # (scene index, groundtruth index)
     flags = np.zeros(len(entries), dtype=bool)
     for i, (_, si, dists) in enumerate(entries):
         best, best_gi = np.inf, None
         for gi, d in dists:
-            if gi not in claimed[si] and d < best:
+            if (si, gi) not in claimed and d < best:
                 best, best_gi = d, gi
         if best_gi is not None and best <= threshold:
-            claimed[si].add(best_gi)
+            claimed.add((si, best_gi))
             flags[i] = True
     return flags
 
@@ -83,7 +83,7 @@ def _ap_from_flags(flags, n_gt) -> float:
 
 def average_precision(pred_by_scene, gt_by_scene, class_id, threshold) -> float:
     entries, n_gt = _class_entries(pred_by_scene, gt_by_scene, class_id)
-    return _ap_from_flags(_greedy_tp_flags(entries, len(pred_by_scene), threshold), n_gt)
+    return _ap_from_flags(_greedy_tp_flags(entries, threshold), n_gt)
 
 
 @dataclass
@@ -133,7 +133,7 @@ def evaluate(predictions: dict, groundtruth: dict,
         tp_tot = fp_tot = fn_tot = 0
         for cls in gt_classes:
             entries, n_gt = tables[cls]
-            flags = _greedy_tp_flags(entries, len(scene_ids), thr)
+            flags = _greedy_tp_flags(entries, thr)
             ap[(cls, thr)] = _ap_from_flags(flags, n_gt)
             tp_tot += int(flags.sum())
             fp_tot += int((~flags).sum())

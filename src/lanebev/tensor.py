@@ -531,12 +531,9 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
         if value_map.tape is not None:
             gmap = (interp.T @ g).reshape(groups, h, w, c).transpose(0, 3, 1, 2)
             _accumulate(value_map, gmap.reshape(value_map.shape))
-        # per entry g[row] . map row [4, n_in]; small maps: one product per group
-        if rows * h * w <= 4 * len(idx_in) * c:
-            prod = g.reshape(groups, -1, c) @ vrows.reshape(groups, h * w, c).transpose(0, 2, 1)
-            dot = prod.reshape(-1).take(cell + (rows_in - rows_in // (rows // groups)) * (h * w))
-        else:
-            dot = np.einsum("nc,fnc->fn", g.take(rows_in, axis=0), vrows.take(cell, axis=0))
+        # per entry g[row] . map row [4, n_in], read from one product per group
+        prod = g.reshape(groups, -1, c) @ vrows.reshape(groups, h * w, c).transpose(0, 2, 1)
+        dot = prod.reshape(-1).take(cell + (rows_in - rows_in // (rows // groups)) * (h * w))
         if weights is not None:
             _accumulate(weights, np.bincount(idx_in, (dot * wgt).sum(axis=0), n).reshape(rows, k))
             dot *= pw
