@@ -7,10 +7,9 @@ final convolution makes the block an exact identity.  A single layer plan
 and the FLOPs counter, so the three can never drift apart.
 
 FLOPs counting: convolutions and linear layers only, one multiply-accumulate
-counted as ``flops_per_mac`` floating-point operations (default 2).  The
-published magnitudes for the depth-50 / depth-18 shapes (3.8e9 / 1.8e9 at
-224x224) were stated in multiply-accumulate units, i.e. ``flops_per_mac=1``;
-``count_macs`` reproduces them directly.
+counted as 2 floating-point operations.  The published magnitudes for the
+depth-50 / depth-18 shapes (3.8e9 / 1.8e9 at 224x224) were stated in
+multiply-accumulate units; ``count_macs`` reproduces them directly.
 """
 
 from __future__ import annotations
@@ -145,12 +144,6 @@ def feature_channels(cfg: BackboneConfig) -> int:
     return cfg.stem_channels * cfg.stage_channel_multipliers[-1] * expansion
 
 
-def feature_shape(cfg: BackboneConfig) -> tuple[int, int, int]:
-    plan = build_plan(cfg)
-    last = plan.stages[-1][-1].convs[-1]
-    return (feature_channels(cfg), last.h_out, last.w_out)
-
-
 def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Kaiming fan-in initialization for every conv in the plan."""
     params = {}
@@ -194,26 +187,19 @@ def run_backbone(x: Tensor, cfg: BackboneConfig, params) -> Tensor:
     return T.relu(h)
 
 
-def extract_features(frame, cfg: BackboneConfig, params) -> list[Tensor]:
-    """Apply the shared backbone to the 7 camera images of one frame.
+def extract_features(images, cfg: BackboneConfig, params) -> list[Tensor]:
+    """Apply the shared backbone to the camera images of one frame.
 
-    frame: object with an ``images`` attribute, a list of 7 [C,H,W] arrays
-    (or a stacked [7,C,H,W] array).  Returns 7 feature maps as a list.
+    images: a sequence of per-view [C,H,W] arrays, or a stacked [V,C,H,W]
+    array.  Returns one feature map per view.
     """
-    images = frame.images if hasattr(frame, "images") else frame
-    if isinstance(images, Tensor):
-        batch = images
-        n = batch.shape[0]
-    else:
-        arrs = [np.asarray(im) for im in images]
-        n = len(arrs)
-        for i, a in enumerate(arrs):
-            if tuple(a.shape) != tuple(cfg.input_shape):
-                raise T.DimensionError(
-                    f"view {i}: image shape {a.shape} does not match configured {cfg.input_shape}")
-        batch = Tensor(np.stack(arrs))
-    feats = run_backbone(batch, cfg, params)
-    return [feats[i] for i in range(n)]
+    arrs = [np.asarray(im) for im in images]
+    for i, a in enumerate(arrs):
+        if tuple(a.shape) != tuple(cfg.input_shape):
+            raise T.DimensionError(
+                f"view {i}: image shape {a.shape} does not match configured {cfg.input_shape}")
+    feats = run_backbone(Tensor(np.stack(arrs)), cfg, params)
+    return [feats[i] for i in range(len(arrs))]
 
 
 def count_macs(cfg: BackboneConfig) -> int:
@@ -221,11 +207,11 @@ def count_macs(cfg: BackboneConfig) -> int:
     return sum(spec.macs for spec in build_plan(cfg).all_convs())
 
 
-def count_flops(cfg: BackboneConfig, flops_per_mac: int = 2) -> int:
-    """Analytic FLOPs: convs (and linears) only, pooling/activation excluded."""
-    return flops_per_mac * count_macs(cfg)
+def count_flops(cfg: BackboneConfig) -> int:
+    """Analytic FLOPs (2 per MAC): convs (and linears) only, pooling/activation excluded."""
+    return 2 * count_macs(cfg)
 
 
-def flops_table(cfg: BackboneConfig, flops_per_mac: int = 2) -> list[tuple[str, int]]:
+def flops_table(cfg: BackboneConfig) -> list[tuple[str, int]]:
     """Per-layer (name, flops) rows in plan order."""
-    return [(spec.name, flops_per_mac * spec.macs) for spec in build_plan(cfg).all_convs()]
+    return [(spec.name, 2 * spec.macs) for spec in build_plan(cfg).all_convs()]

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .segments import (CLASS_CROSSWALK, CLASS_LANE, CLASS_NAMES, LaneSegment, densify_polyline,
-                       longest_run_inside, polyline_normals, resample_polyline)
+from .segments import (CLASS_CROSSWALK, CLASS_LANE, CLASS_NAMES, LaneSegment, arclength,
+                       densify_polyline, longest_run_inside, polyline_normals, resample_polyline)
 
 
 class DatasetError(Exception):
@@ -212,11 +212,8 @@ def _curve_world(rng, p: GenParams):
     lanes = []
     for off in _lane_offsets(n_lanes, width):
         r_i = radius - off * np.sign(radius)
-        cx_ = 0.0
-        cy_ = radius
-        sgn = np.sign(radius)
-        x = cx_ + abs(r_i) * np.sin(theta)
-        y = cy_ - sgn * abs(r_i) * np.cos(theta)
+        x = abs(r_i) * np.sin(theta)
+        y = radius - np.sign(radius) * abs(r_i) * np.cos(theta)
         lanes.append({"centerline": np.stack([x, y], axis=1), "width": width,
                       "class_id": CLASS_LANE})
     ego_lane = int(rng.integers(0, n_lanes))
@@ -224,13 +221,8 @@ def _curve_world(rng, p: GenParams):
 
 
 def _intersection_world(rng, p: GenParams, speed):
-    n_lanes = int(rng.integers(p.min_lanes, p.max_lanes + 1))
-    width = float(rng.uniform(3.0, 4.0))
-    xs = np.linspace(-60.0, 140.0, 101)
-    lanes = [{"centerline": np.stack([xs, np.full_like(xs, off)], axis=1),
-              "width": width, "class_id": CLASS_LANE}
-             for off in _lane_offsets(n_lanes, width)]
-    ego_lane = int(rng.integers(0, n_lanes))
+    lanes, _, ego_path = _straight_world(rng, p)
+    n_lanes, width = len(lanes), lanes[0]["width"]
 
     # crossing road placed so its crosswalk stays inside the BEV extent for
     # the whole sequence (ego approaches but never reaches it)
@@ -249,7 +241,7 @@ def _intersection_world(rng, p: GenParams, speed):
         yy = np.linspace(-half_main - 0.8, half_main + 0.8, 9)
         crosswalks.append({"centerline": np.stack([np.full_like(yy, xc), yy], axis=1),
                            "width": 1.2, "class_id": CLASS_CROSSWALK})
-    return lanes, crosswalks, lanes[ego_lane]["centerline"]
+    return lanes, crosswalks, ego_path
 
 
 def _world_to_ego(points, pose):
@@ -262,7 +254,6 @@ def _world_to_ego(points, pose):
 def _ego_poses(ego_path, speed, n_frames, straight):
     """Ego pose (x, y, yaw) per frame, following the given lane centerline."""
     dense = densify_polyline(ego_path, 0.5)
-    from .segments import arclength
     s = arclength(dense)
     s0 = s[np.argmin(np.hypot(dense[:, 0], dense[:, 1]))]  # start near world origin
     poses = []
@@ -283,7 +274,6 @@ def _ego_poses(ego_path, speed, n_frames, straight):
 def _gt_for_frame(lanes, crosswalks, pose, p: GenParams):
     m = p.extent_margin
     segs = []
-    from .segments import arclength
     for item in lanes + crosswalks:
         ego_poly = _world_to_ego(densify_polyline(item["centerline"], 1.0), pose)
         run = longest_run_inside(ego_poly, p.x_min + m, p.x_max - m, p.y_min + m, p.y_max - m)
@@ -444,7 +434,6 @@ def _read_pgm(path):
     with open(path, "rb") as f:
         raw = f.read()
     try:
-        header_end = 0
         fields = []
         pos = 0
         while len(fields) < 4:
@@ -502,6 +491,16 @@ def save_dataset(scenes, out_dir):
                     f.write(_seg_to_line(idx, seg) + "\n")
 
 
+def _frame_index(parts, meta):
+    """An EGO or SEG record's frame index, which must lie in META's frame range."""
+    fr = int(parts[1])
+    if meta is None:
+        raise ValueError(f"{parts[0]} record before META")
+    if fr not in range(meta[2]):
+        raise ValueError(f"{parts[0]} frame {fr} outside 0..{meta[2] - 1}")
+    return fr
+
+
 def _parse_annotations(path):
     meta = None
     cams_raw = {}
@@ -533,9 +532,12 @@ def _parse_annotations(path):
                     raise ValueError(f"CAM needs 16 floats, got {len(vals)}")
                 cams_raw[k] = vals
             elif parts[0] == "EGO":
-                egos[int(parts[1])] = (float(parts[2]), float(parts[3]), float(parts[4]))
+                fr = _frame_index(parts, meta)
+                if fr in egos:
+                    raise ValueError(f"duplicate EGO record {fr}")
+                egos[fr] = (float(parts[2]), float(parts[3]), float(parts[4]))
             elif parts[0] == "SEG":
-                fr, cls, n = int(parts[1]), int(parts[2]), int(parts[3])
+                fr, cls, n = _frame_index(parts, meta), int(parts[2]), int(parts[3])
                 if cls not in CLASS_NAMES:
                     raise ValueError(f"SEG class {cls} not in {sorted(CLASS_NAMES)}")
                 blob = " ".join(parts[4:])

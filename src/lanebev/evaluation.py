@@ -81,11 +81,6 @@ def _ap_from_flags(flags, n_gt) -> float:
     return float(((r[steps + 1] - r[steps]) * p[steps + 1]).sum())
 
 
-def average_precision(pred_by_scene, gt_by_scene, class_id, threshold) -> float:
-    entries, n_gt = _class_entries(pred_by_scene, gt_by_scene, class_id)
-    return _ap_from_flags(_greedy_tp_flags(entries, threshold), n_gt)
-
-
 @dataclass
 class EvalReport:
     ap: dict                 # (class_id, threshold) -> AP

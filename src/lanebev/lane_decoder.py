@@ -29,8 +29,11 @@ class LaneQuerySet:
 
 
 def init_self_attn(params, prefix, dim, rng):
+    """The key projection has no bias: it would add q_i . b_k to every score in
+    row i, which the softmax over keys cancels, so it could never learn."""
     for name in ("q", "k", "v", "out"):
         init_linear(params, f"{prefix}/{name}", dim, dim, rng)
+    del params[prefix + "/k/b"]
 
 
 def self_attention(queries: Tensor, params, prefix, n_heads: int = SELF_ATTN_HEADS) -> Tensor:
@@ -40,7 +43,7 @@ def self_attention(queries: Tensor, params, prefix, n_heads: int = SELF_ATTN_HEA
         raise ConfigError(f"embed dim {dim} not divisible by {n_heads} heads")
     d_head = dim // n_heads
     q = run_linear(queries, params, prefix + "/q")
-    k = run_linear(queries, params, prefix + "/k")
+    k = T.linear(queries, _p(params, prefix + "/k/w"))
     v = run_linear(queries, params, prefix + "/v")
 
     def split(x):  # [N, D] -> [heads, N, d_head]

@@ -101,9 +101,8 @@ class TrainLog:
     CSV_HEADER = ("step,epoch,loss_total,loss_cls,loss_pts,loss_bnd,wall_ms,grad_norm,lr,clipped,"
                   "fwd_ms,bwd_ms,opt_ms")
 
-    def record(self, step, epoch, parts, wall_ms, grad_norm=None, lr=None, clipped=None,
-               fwd_ms=None, bwd_ms=None, opt_ms=None):
-        """Append one step; optimizer and stage fields not given are left empty in the CSV."""
+    def record(self, step, epoch, parts, wall_ms, grad_norm, lr, clipped, fwd_ms, bwd_ms, opt_ms):
+        """Append one step: its loss parts and the stats ``_train_step`` returns."""
         if self.steps and step <= self.steps[-1]["step"]:
             raise ValueError("steps must be strictly increasing")
         row = {"step": step, "epoch": epoch, "wall_ms": wall_ms, **parts,
@@ -113,13 +112,12 @@ class TrainLog:
         if self.path:
             new = not os.path.exists(self.path)
             losses = ",".join(f"{parts['loss_' + k]:.9g}" for k in ("total", "cls", "pts", "bnd"))
-            opt = ",".join("" if v is None else repr(float(v)) for v in (grad_norm, lr))
-            flag = "" if clipped is None else int(clipped)
-            stages = ",".join("" if v is None else f"{v:.3f}" for v in (fwd_ms, bwd_ms, opt_ms))
+            stages = ",".join(f"{v:.3f}" for v in (fwd_ms, bwd_ms, opt_ms))
             with open(self.path, "a") as f:
                 if new:
                     f.write(self.CSV_HEADER + "\n")
-                f.write(f"{step},{epoch},{losses},{wall_ms:.3f},{opt},{flag},{stages}\n")
+                f.write(f"{step},{epoch},{losses},{wall_ms:.3f},{float(grad_norm)!r},{float(lr)!r},"
+                        f"{int(clipped)},{stages}\n")
 
     def losses(self):
         return [r["loss_total"] for r in self.steps]

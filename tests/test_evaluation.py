@@ -47,14 +47,20 @@ def test_chamfer_empty():
 # -- average precision --
 
 
+def average_precision(pred_by_scene, gt_by_scene, class_id, threshold):
+    """One class's AP at one threshold, from the pieces ``evaluate`` uses."""
+    entries, n_gt = EV._class_entries(pred_by_scene, gt_by_scene, class_id)
+    return EV._ap_from_flags(EV._greedy_tp_flags(entries, threshold), n_gt)
+
+
 def test_ap_perfect():
     gts = [[seg(0.0), seg(4.0)]]
     preds = [[seg(0.0, score=0.9), seg(4.0, score=0.8)]]
-    assert EV.average_precision(preds, gts, CLASS_LANE, 0.5) == 1.0
+    assert average_precision(preds, gts, CLASS_LANE, 0.5) == 1.0
 
 
 def test_ap_no_predictions():
-    assert EV.average_precision([[]], [[seg(0.0)]], CLASS_LANE, 1.0) == 0.0
+    assert average_precision([[]], [[seg(0.0)]], CLASS_LANE, 1.0) == 0.0
 
 
 def test_ap_hand_computed_pr_area():
@@ -64,7 +70,7 @@ def test_ap_hand_computed_pr_area():
     # PR points: (r=.5, p=1), (r=.5, p=.5), (r=1, p=2/3)
     # all-points area: .5 * 1 + .5 * (2/3)
     want = 0.5 * 1.0 + 0.5 * (2.0 / 3.0)
-    assert EV.average_precision(preds, gts, CLASS_LANE, 0.5) == pytest.approx(want)
+    assert average_precision(preds, gts, CLASS_LANE, 0.5) == pytest.approx(want)
 
 
 def test_ap_duplicate_prediction_is_fp():
@@ -72,20 +78,20 @@ def test_ap_duplicate_prediction_is_fp():
     preds = [[seg(0.0, score=0.9), seg(0.0, score=0.8)]]
     # second duplicate cannot re-claim the gt: precision at full recall is 1
     # (TP first), the duplicate only adds an FP after recall saturates
-    assert EV.average_precision(preds, gts, CLASS_LANE, 0.5) == 1.0
+    assert average_precision(preds, gts, CLASS_LANE, 0.5) == 1.0
     # flip scores: FP comes first, so interpolated precision drops to 1/2
     preds_flipped = [[seg(0.0, score=0.8), seg(0.0, score=0.9)]]
-    assert EV.average_precision(preds_flipped, gts, CLASS_LANE, 0.5) == 1.0
+    assert average_precision(preds_flipped, gts, CLASS_LANE, 0.5) == 1.0
 
 
 def test_ap_score_monotone_transform_invariant(rng):
     gts = [[seg(0.0), seg(5.0)], [seg(-3.0)]]
     preds = [[seg(0.2, score=0.9), seg(9.0, score=0.4)], [seg(-3.1, score=0.6)]]
-    base = EV.average_precision(preds, gts, CLASS_LANE, 1.0)
+    base = average_precision(preds, gts, CLASS_LANE, 1.0)
     remapped = [[LaneSegment(p.centerline, p.left_boundary, p.right_boundary,
                              p.class_id, p.score ** 3 * 0.5) for p in ps]
                 for ps in preds]
-    assert EV.average_precision(remapped, gts, CLASS_LANE, 1.0) == pytest.approx(base)
+    assert average_precision(remapped, gts, CLASS_LANE, 1.0) == pytest.approx(base)
 
 
 def test_ap_monotone_in_threshold(rng):
@@ -94,7 +100,7 @@ def test_ap_monotone_in_threshold(rng):
         gts.append([seg(rng.uniform(-4, 4)) for _ in range(3)])
         preds.append([seg(rng.uniform(-4, 4), score=rng.uniform(0.1, 1.0))
                       for _ in range(4)])
-    aps = [EV.average_precision(preds, gts, CLASS_LANE, t) for t in (0.5, 1.0, 1.5)]
+    aps = [average_precision(preds, gts, CLASS_LANE, t) for t in (0.5, 1.0, 1.5)]
     assert aps[0] <= aps[1] <= aps[2]
 
 
@@ -102,7 +108,7 @@ def test_ap_matching_is_per_scene():
     # prediction in scene 0 must not match the groundtruth in scene 1
     gts = [[], [seg(0.0)]]
     preds = [[seg(0.0, score=1.0)], []]
-    assert EV.average_precision(preds, gts, CLASS_LANE, 1.5) == 0.0
+    assert average_precision(preds, gts, CLASS_LANE, 1.5) == 0.0
 
 
 # -- evaluate --

@@ -19,7 +19,7 @@ def dense_self_attention_oracle(x, params, prefix, n_heads):
     n, dim = x.shape
     d_head = dim // n_heads
     q = x @ params[prefix + "/q/w"] + params[prefix + "/q/b"]
-    k = x @ params[prefix + "/k/w"] + params[prefix + "/k/b"]
+    k = x @ params[prefix + "/k/w"] + params.get(prefix + "/k/b", 0.0)
     v = x @ params[prefix + "/v/w"] + params[prefix + "/v/b"]
     merged = np.zeros((n, dim))
     for h in range(n_heads):
@@ -38,6 +38,19 @@ def test_self_attn_matches_dense_oracle(rng):
     x = rng.standard_normal((3, dim))
     got = L.self_attention(T.Tensor(x), params, "sa")
     want = dense_self_attention_oracle(x, params, "sa", L.SELF_ATTN_HEADS)
+    assert np.abs(got.data - want).max() / np.abs(want).max() < 1e-10
+
+
+def test_self_attn_key_bias_cannot_change_output(rng):
+    # a key bias adds q_i . b_k to every score in row i; the softmax over keys
+    # cancels it, so the bias-free layer equals the biased formula
+    dim = 8
+    params = make_sa_params(rng, dim)
+    assert "sa/k/b" not in params
+    x = rng.standard_normal((4, dim))
+    got = L.self_attention(T.Tensor(x), params, "sa")
+    biased = {**params, "sa/k/b": rng.standard_normal(dim) * 3.0}
+    want = dense_self_attention_oracle(x, biased, "sa", L.SELF_ATTN_HEADS)
     assert np.abs(got.data - want).max() / np.abs(want).max() < 1e-10
 
 

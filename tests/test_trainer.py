@@ -106,10 +106,11 @@ def test_clip_global_norm(rng):
 def test_trainlog_strictly_increasing(tmp_path):
     log = TR.TrainLog(path=str(tmp_path / "log.csv"))
     parts = {"loss_total": 1.0, "loss_cls": 0.5, "loss_pts": 0.3, "loss_bnd": 0.2}
-    log.record(1, 0, parts, 10.0)
-    log.record(2, 0, parts, 10.0)
+    stats = dict(grad_norm=2.0, lr=1e-3, clipped=False, fwd_ms=4.0, bwd_ms=5.0, opt_ms=1.0)
+    log.record(1, 0, parts, 10.0, **stats)
+    log.record(2, 0, parts, 10.0, **stats)
     with pytest.raises(ValueError):
-        log.record(2, 0, parts, 10.0)
+        log.record(2, 0, parts, 10.0, **stats)
     text = (tmp_path / "log.csv").read_text().splitlines()
     assert text[0] == TR.TrainLog.CSV_HEADER
     assert len(text) == 3
@@ -365,6 +366,35 @@ def test_train_resume_bit_identical(tmp_path, scenes):
     for k in straight:
         assert np.array_equal(adam_s["m"][k], adam_r["m"][k])
         assert np.array_equal(adam_s["v"][k], adam_r["v"][k])
+
+
+def test_checkpoint_with_decoder_key_bias_still_loads(tmp_path, scenes):
+    """Checkpoints saved while the decoder self-attention had a key bias carry
+    dec*/sa/k/b in all three sections; the model never reads them."""
+    from lanebev.model import predict_scene
+    cfg = micro_cfg(epochs=1)
+    TR.train(cfg, scenes, checkpoint_dir=str(tmp_path))
+    ck = TR.load_checkpoint(str(tmp_path / "ckpt_epoch_1.bin"))
+    assert not any(k.endswith("/sa/k/b") for k in ck["params"])
+    gen = np.random.default_rng(7)
+    for section in (ck["params"], ck["adam"]["m"], ck["adam"]["v"]):
+        for i in range(cfg.n_decoder_layers):
+            section[f"dec{i}/sa/k/b"] = np.abs(gen.standard_normal(cfg.embed_dim))
+    old = str(tmp_path / "old.bin")
+    TR.save_checkpoint(old, cfg, ck["params"], ck["adam"], ck["rng"],
+                       ck["epoch"], ck["step"], ck["wall_seconds"])
+
+    restored = TR.restore_checkpoint(old, cfg)
+    assert "dec0/sa/k/b" in restored["params"]
+    clean = {k: v for k, v in restored["params"].items() if not k.endswith("/sa/k/b")}
+    assert predict_scene(scenes[0], restored["params"], cfg) == predict_scene(scenes[0], clean, cfg)
+
+    cfg2 = micro_cfg(epochs=2)
+    _, resumed, _ = TR.resume(old, cfg2, scenes)
+    _, want, _ = TR.resume(str(tmp_path / "ckpt_epoch_1.bin"), cfg2, scenes)
+    assert sorted(want) == sorted(clean)
+    for k in want:
+        assert np.array_equal(resumed[k], want[k]), k
 
 
 def test_resume_hash_mismatch(tmp_path, scenes):
