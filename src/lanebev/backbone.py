@@ -191,14 +191,14 @@ def extract_features(images, cfg: BackboneConfig, params) -> list[Tensor]:
     """Apply the shared backbone to the camera images of one frame.
 
     images: a sequence of per-view [C,H,W] arrays, or a stacked [V,C,H,W]
-    array.  Returns one feature map per view.
+    array.  Returns one channel-last [H',W',C'] feature map per view.
     """
     arrs = [np.asarray(im) for im in images]
     for i, a in enumerate(arrs):
         if tuple(a.shape) != tuple(cfg.input_shape):
             raise T.DimensionError(
                 f"view {i}: image shape {a.shape} does not match configured {cfg.input_shape}")
-    feats = run_backbone(Tensor(np.stack(arrs)), cfg, params)
+    feats = T.transpose(run_backbone(Tensor(np.stack(arrs)), cfg, params), (0, 2, 3, 1))
     return [feats[i] for i in range(len(arrs))]
 
 

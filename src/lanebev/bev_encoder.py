@@ -131,11 +131,6 @@ def run_ffn(x, params, prefix):
 # deformable attention
 
 
-def map_from_rows(rows: Tensor, h: int, w: int) -> Tensor:
-    """[H*W, C] row-major embedding table to a [C, H, W] map."""
-    return T.transpose(T.reshape(rows, (h, w, -1)), (2, 0, 1))
-
-
 def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params, prefix,
                          n_heads: int, n_points: int) -> Tensor:
     """Per query and head: K learned offsets and softmax weights around the
@@ -144,29 +139,27 @@ def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params,
     map and (via the offsets) the sampling locations.
 
     As in Deformable DETR, every head samples in one grouped
-    ``bilinear_sample`` call over a [heads, d_head, H, W] view of the value
-    map, with the points laid out head-major as [heads*N*K, 2] and the
-    attention weights folded into the kernel as [heads*N, K].
+    ``bilinear_sample`` call over an [H, W, heads, d_head] view of the
+    projected channel-last value map [H, W, C], with the points laid out
+    query-major as [N*heads*K, 2] and the attention weights folded into the
+    kernel as [N*heads, K].
     """
     n, dim = queries.shape
     if dim % n_heads != 0:
         raise ConfigError(f"embed dim {dim} not divisible by {n_heads} heads")
     d_head = dim // n_heads
-    c, h, w = value_map.shape
+    h, w, c = value_map.shape
 
-    flat = T.reshape(T.transpose(value_map, (1, 2, 0)), (h * w, c))
-    value = run_linear(flat, params, prefix + "/value")          # [H*W, D]
-    value_maps = T.reshape(map_from_rows(value, h, w), (n_heads, d_head, h, w))
+    value = run_linear(T.reshape(value_map, (h * w, c)), params, prefix + "/value")  # [H*W, D]
+    value_maps = T.reshape(value, (h, w, n_heads, d_head))
 
     refs = T.reshape(T._as_tensor(ref_points), (n, 1, 1, 2))
     offsets = T.reshape(run_linear(queries, params, prefix + "/offset"), (n, n_heads, n_points, 2))
-    pts = T.transpose(T.add(refs, offsets), (1, 0, 2, 3))          # [h, N, K, 2]
-    logits = T.reshape(run_linear(queries, params, prefix + "/logit"), (n, n_heads, n_points))
-    attn = T.reshape(T.transpose(T.softmax(logits, axis=-1), (1, 0, 2)), (n_heads * n, n_points))
+    pts = T.reshape(T.add(refs, offsets), (n * n_heads * n_points, 2))
+    logits = T.reshape(run_linear(queries, params, prefix + "/logit"), (n * n_heads, n_points))
 
-    weighted = T.bilinear_sample(value_maps, T.reshape(pts, (n_heads * n * n_points, 2)), attn)
-    mixed = T.reshape(T.transpose(T.reshape(weighted, (n_heads, n, d_head)), (1, 0, 2)), (n, dim))
-    return run_linear(mixed, params, prefix + "/out")
+    weighted = T.bilinear_sample(value_maps, pts, T.softmax(logits, axis=-1))  # [N*heads, d_head]
+    return run_linear(T.reshape(weighted, (n, dim)), params, prefix + "/out")
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +172,7 @@ def warp_history(history_emb: Tensor, motion: EgoMotion, spec: BEVGridSpec) -> T
     rot = motion.matrix()
     prev_pts = (centers - np.array([motion.dx, motion.dy])) @ rot  # R^T (c - t)
     uv = spec.normalize(prev_pts)
-    hist_map = map_from_rows(history_emb, spec.h, spec.w)
+    hist_map = T.reshape(history_emb, (spec.h, spec.w, -1))
     return T.bilinear_sample(hist_map, T._as_tensor(uv))           # [H*W, D]
 
 
@@ -201,7 +194,7 @@ def temporal_self_attention(bev: BEVGrid, history: BEVGrid | None, motion: EgoMo
         # both attentions share queries, offsets and weights and are affine in
         # the map, so their mean is one attention over the mean of the maps
         rows = T.mul(T.add(rows, warp_history(history.emb, motion, spec)), T.Tensor(0.5))
-    out = deformable_attention(q, refs, map_from_rows(rows, spec.h, spec.w), params, prefix,
+    out = deformable_attention(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params, prefix,
                                n_heads, n_points)
     return BEVGrid(T.add(bev.emb, out), spec)
 

@@ -518,6 +518,8 @@ def _parse_annotations(path):
         parts = text.split()
         try:
             if parts[0] == "META":
+                if meta is not None:
+                    raise ValueError("duplicate META record")
                 meta = (parts[1], int(parts[2]), int(parts[3]))
                 if meta[2] < 1:
                     raise ValueError(f"META frame count {meta[2]} is not positive")

@@ -12,8 +12,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import ConfigError
 from .bev_encoder import (BEVGrid, deformable_attention, init_deform_attn, init_ffn,
-                          init_layer_norm, init_linear, map_from_rows, run_ffn,
-                          run_layer_norm, run_linear, _p)
+                          init_layer_norm, init_linear, run_ffn, run_layer_norm, run_linear, _p)
 from .tensor import Tensor
 
 SELF_ATTN_HEADS = 8  # fixed by the architecture this follows
@@ -86,7 +85,7 @@ def decoder_layer(q: LaneQuerySet, bev: BEVGrid, params, prefix, n_heads: int,
     untrained layer leaves them unchanged)."""
     x = run_layer_norm(T.add(q.emb, self_attention(q.emb, params, prefix + "/sa")),
                        params, prefix + "/ln0")
-    bev_map = map_from_rows(bev.emb, bev.spec.h, bev.spec.w)
+    bev_map = T.reshape(bev.emb, (bev.spec.h, bev.spec.w, -1))
     refs = T.sigmoid(q.ref_logits)
     cross = deformable_attention(x, refs, bev_map, params, prefix + "/ca", n_heads, n_points)
     x = run_layer_norm(T.add(x, cross), params, prefix + "/ln1")

@@ -481,23 +481,23 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
 
 
 def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = None) -> Tensor:
-    """Sample value_map[C,H,W] at normalized points[N,2] = (u,v) in [0,1]^2.
+    """Sample the channel-last value_map[H,W,C] at normalized points[N,2] = (u,v) in [0,1]^2.
 
-    A grouped map [G,C,H,W] takes points [G*N,2]: rows g*N:(g+1)*N sample
-    group g, and the output is [G*N,C] (deformable attention passes its
-    heads as groups).  Align-corners-false: pixel (r, c) center sits at
+    A grouped map [H,W,G,C] is query-major: output row r (and its points)
+    samples group r % G, and the output is [R,C] (deformable attention passes
+    its heads as groups).  Align-corners-false: pixel (r, c) center sits at
     u=(c+0.5)/W, v=(r+0.5)/H.  Points outside the unit square return zeros;
     neighbours outside the map contribute zero (border-zero policy).  With
     weights [R,K], output row r is sum_k weights[r, k] * sample(points[r*K+k]).
 
-    One CSR matrix S [R, G*H*W] holds corner weight times point weight per
-    point and corner (00, 01, 10, 11) over the map's channel-last rows: the
+    One CSR matrix S [R, H*W*G] holds corner weight times point weight per
+    point and corner (00, 01, 10, 11) over the map's rows [H*W*G, C]: the
     forward is S @ rows, the map gradient S.T @ g, both in (point, corner) order.
     """
     if value_map.ndim not in (3, 4):
-        raise DimensionError(f"bilinear_sample expects a [(G,)C,H,W] map, got {value_map.shape}")
-    maps = value_map.data if value_map.ndim == 4 else value_map.data[None]
-    groups, c, h, w = maps.shape
+        raise DimensionError(f"bilinear_sample expects an [H,W,(G,)C] map, got {value_map.shape}")
+    h, w, c = value_map.shape[0], value_map.shape[1], value_map.shape[-1]
+    groups = value_map.shape[2] if value_map.ndim == 4 else 1
     n = points.data.size // 2
     shape = (n, 1) if weights is None else weights.shape
     if points.shape != (n, 2) or len(shape) != 2 or shape[0] * shape[1] != n or shape[0] % groups:
@@ -508,6 +508,7 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     # out-of-square points contribute (and receive) exactly zero, so they get
     # no matrix entries and the gradients visit the in-bounds subset only
     idx_in = np.nonzero(inside)[0]
+    rows_in = idx_in // k
 
     # per axis (x, y), lo is in [-1, size-1] inside the square: each neighbour
     # is clamped on one side only, and one outside the map gets weight zero
@@ -517,23 +518,24 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     valid = np.stack([lo >= 0, lo + 1 < size])  # [2 (lo, hi), 2 (x, y), n_in]
     wts = np.stack([1.0 - (f - lo), f - lo]) * valid
     at = np.stack([np.maximum(lo, 0), np.minimum(lo + 1, size - 1)])
-    # the corners, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
-    cell = ((at[:, 1] * w + idx_in // (n // groups) * (h * w))[:, None] + at[:, 0]).reshape(4, -1)
+    # the corner pixels, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
+    pixel = ((at[:, 1] * w)[:, None] + at[:, 0]).reshape(4, -1)
     wgt = (wts[:, 1, None] * wts[:, 0]).reshape(4, -1)
     pw = None if weights is None else weights.data.reshape(-1).take(idx_in)
-    indptr = np.concatenate([[0], np.cumsum(4 * np.bincount(idx_in // k, minlength=rows))])
+    indptr = np.concatenate([[0], np.cumsum(4 * np.bincount(rows_in, minlength=rows))])
     interp = scipy.sparse.csr_matrix(((wgt if pw is None else wgt * pw).T.ravel(),
-                                      cell.T.ravel(), indptr), shape=(rows, groups * h * w))
-    vrows = maps.transpose(0, 2, 3, 1).reshape(-1, c)  # [G*H*W, C]
+                                      (pixel * groups + rows_in % groups).T.ravel(), indptr),
+                                     shape=(rows, h * w * groups))
+    vrows = value_map.data.reshape(-1, c)  # [H*W*G, C]
 
     def backward():
-        g, rows_in = out.grad, idx_in // k
+        g = out.grad
         if value_map.tape is not None:
-            gmap = (interp.T @ g).reshape(groups, h, w, c).transpose(0, 3, 1, 2)
-            _accumulate(value_map, gmap.reshape(value_map.shape))
+            _accumulate(value_map, (interp.T @ g).reshape(value_map.shape))
         # per entry g[row] . map row [4, n_in], read from one product per group
-        prod = g.reshape(groups, -1, c) @ vrows.reshape(groups, h * w, c).transpose(0, 2, 1)
-        dot = prod.reshape(-1).take(cell + (rows_in - rows_in // (rows // groups)) * (h * w))
+        prod = (g.reshape(-1, groups, c).transpose(1, 0, 2)
+                @ vrows.reshape(h * w, groups, c).transpose(1, 2, 0))   # [G, R/G, H*W]
+        dot = prod[rows_in % groups, rows_in // groups, pixel]
         if weights is not None:
             _accumulate(weights, np.bincount(idx_in, (dot * wgt).sum(axis=0), n).reshape(rows, k))
             dot *= pw

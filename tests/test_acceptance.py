@@ -159,7 +159,7 @@ def test_criterion_2_gradient_suite():
         pts = ((np.round(px) + np.clip(px - np.round(px), -0.35, 0.35)) + 0.5) / 5
 
         def build(p):
-            x = T.bilinear_sample(T.Tensor(vmap), p)
+            x = T.bilinear_sample(T.Tensor(vmap.transpose(1, 2, 0)), p)
             return T.tsum(T.mul(x, x))
         try:
             check_gradients(build, [pts], rtol=1e-3)
@@ -203,7 +203,8 @@ def test_criterion_3_oracle_equivalence():
     q = rng.standard_normal((4, dim))
     refs = rng.uniform(0.15, 0.85, (4, 2))
     vmap = rng.standard_normal((c, 5, 5))
-    got = deformable_attention(T.Tensor(q), refs, T.Tensor(vmap), params, "da", heads, k).data
+    got = deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params, "da",
+                               heads, k).data
     from test_bev_encoder import dense_deform_attn_oracle
     want = dense_deform_attn_oracle(q, refs, vmap, params, "da", heads, k)
     da_err = np.abs(got - want).max() / np.abs(want).max()
@@ -269,7 +270,7 @@ def test_criterion_4_architecture_shapes(count_calls):
         init_decoder_params(params, cfg, rng)
         counts.clear()
         cams = D.build_camera_rig()
-        feats = [T.Tensor(rng.standard_normal((6, 4, 6)))] * 7
+        feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))] * 7
         bev = encode(feats, cams, None, EgoMotion(), enc_n, params, cfg)
         layers = decode(initial_queries(params), bev, dec_n, params, cfg)
         counts_ok = (counts["bev_encoder.temporal_self_attention"] == enc_n

@@ -47,7 +47,7 @@ def test_toy_feature_shape(rng):
     assert len(feats) == 7
     cf = B.feature_channels(TOY)
     for f in feats:
-        assert f.shape == (cf, 4, 6)
+        assert f.shape == (4, 6, cf)
     assert feature_shape(TOY) == (cf, 4, 6)
 
 

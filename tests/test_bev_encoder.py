@@ -74,7 +74,8 @@ def test_deform_attn_matches_dense_oracle(rng):
     q = rng.standard_normal((2, dim))
     refs = rng.uniform(0.1, 0.9, (2, 2))
     vmap = rng.standard_normal((c, 4, 4))
-    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap), params, "da", heads, k)
+    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
+                                 "da", heads, k)
     want = dense_deform_attn_oracle(q, refs, vmap, params, "da", heads, k)
     assert np.abs(got.data - want).max() / max(np.abs(want).max(), 1e-12) < 1e-10
 
@@ -87,7 +88,8 @@ def test_deform_attn_multihead_oracle(rng):
     q = rng.standard_normal((5, dim))
     refs = rng.uniform(0.1, 0.9, (5, 2))
     vmap = rng.standard_normal((c, 6, 5))
-    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap), params, "da", heads, k)
+    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
+                                 "da", heads, k)
     want = dense_deform_attn_oracle(q, refs, vmap, params, "da", heads, k)
     assert np.abs(got.data - want).max() / np.abs(want).max() < 1e-10
 
@@ -101,7 +103,8 @@ def test_deform_attn_collapse_to_single_cell(rng):
     # ref at cell (row 1, col 2) center
     refs = np.array([[2.5 / 4, 1.5 / 4]])
     q = rng.standard_normal((1, dim))
-    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap), params, "da", heads, k)
+    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
+                                 "da", heads, k)
     cell = vmap[:, 1, 2] @ params["da/value/w"] + params["da/value/b"]
     want = cell @ params["da/out/w"] + params["da/out/b"]
     assert np.abs(got.data[0] - want).max() < 1e-10
@@ -113,7 +116,8 @@ def test_deform_attn_outside_refs_zero_pre_projection(rng):
     params["da/offset/b"] = np.zeros(heads * k * 2)
     refs = np.array([[-0.3, 0.5], [1.4, 2.0]])
     q = rng.standard_normal((2, dim))
-    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(rng.standard_normal((c, 4, 4))),
+    got = E.deformable_attention(T.Tensor(q), refs,
+                                 T.Tensor(rng.standard_normal((c, 4, 4)).transpose(1, 2, 0)),
                                  params, "da", heads, k)
     want = np.broadcast_to(params["da/out/b"], (2, dim))  # zero mixed features
     assert np.abs(got.data - want).max() < 1e-12
@@ -127,7 +131,8 @@ def test_deform_attn_sample_point_permutation_invariance(rng):
     q = rng.standard_normal((3, dim))
     refs = rng.uniform(0.2, 0.8, (3, 2))
     vmap = rng.standard_normal((c, 5, 5))
-    base = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap), params, "da", heads, k)
+    base = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
+                                  "da", heads, k)
     perm = rng.permutation(k)
     p2 = dict(params)
     ow = params["da/offset/w"].reshape(dim, k, 2)
@@ -136,30 +141,31 @@ def test_deform_attn_sample_point_permutation_invariance(rng):
     p2["da/offset/b"] = ob[perm].reshape(-1)
     p2["da/logit/w"] = params["da/logit/w"][:, perm]
     p2["da/logit/b"] = params["da/logit/b"][perm]
-    permuted = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap), p2, "da", heads, k)
+    permuted = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), p2,
+                                      "da", heads, k)
     assert np.allclose(base.data, permuted.data, atol=1e-12)
 
 
 def sample_weight_sum_oracle(queries, ref_points, value_map, params, prefix, n_heads, n_points):
     """Deformable attention with the weighting as separate taped ops: sample
-    every point, multiply the [heads, N, K, d_head] samples by the attention
+    every point, multiply the [N, K, heads, d_head] samples by the attention
     weights and sum over K."""
     n, dim = queries.shape
     d_head = dim // n_heads
-    c, h, w = value_map.shape
-    flat = T.reshape(T.transpose(value_map, (1, 2, 0)), (h * w, c))
-    value = E.run_linear(flat, params, prefix + "/value")
-    value_maps = T.reshape(E.map_from_rows(value, h, w), (n_heads, d_head, h, w))
+    h, w, c = value_map.shape
+    value = E.run_linear(T.reshape(value_map, (h * w, c)), params, prefix + "/value")
+    value_maps = T.reshape(value, (h, w, n_heads, d_head))
     offsets = T.reshape(E.run_linear(queries, params, prefix + "/offset"),
                         (n, n_heads * n_points, 2))
     sample_pts = T.add(T.reshape(T.Tensor(ref_points), (n, 1, 2)), offsets)
-    pts = T.transpose(T.reshape(sample_pts, (n, n_heads, n_points, 2)), (1, 0, 2, 3))
+    # one point per output row, so row r must sample head r % heads
+    pts = T.transpose(T.reshape(sample_pts, (n, n_heads, n_points, 2)), (0, 2, 1, 3))
     logits = T.reshape(E.run_linear(queries, params, prefix + "/logit"), (n, n_heads, n_points))
-    attn = T.transpose(T.softmax(logits, axis=-1), (1, 0, 2))
-    sampled = T.bilinear_sample(value_maps, T.reshape(pts, (n_heads * n * n_points, 2)))
-    sampled = T.reshape(sampled, (n_heads, n, n_points, d_head))
-    weighted = T.tsum(T.mul(sampled, T.reshape(attn, (n_heads, n, n_points, 1))), axis=2)
-    mixed = T.reshape(T.transpose(weighted, (1, 0, 2)), (n, dim))
+    attn = T.transpose(T.softmax(logits, axis=-1), (0, 2, 1))
+    sampled = T.bilinear_sample(value_maps, T.reshape(pts, (n * n_points * n_heads, 2)))
+    sampled = T.reshape(sampled, (n, n_points, n_heads, d_head))
+    weighted = T.tsum(T.mul(sampled, T.reshape(attn, (n, n_points, n_heads, 1))), axis=1)
+    mixed = T.reshape(weighted, (n, dim))
     return E.run_linear(mixed, params, prefix + "/out")
 
 
@@ -169,7 +175,7 @@ def _random_da_arrays(rng, n, dim, c, heads, k, hw=(4, 5)):
         params[f"da/{name}/w"] = rng.standard_normal(params[f"da/{name}/w"].shape) * 0.1
         params[f"da/{name}/b"] = rng.standard_normal(params[f"da/{name}/b"].shape) * 0.2
     return params, {"q": rng.standard_normal((n, dim)),
-                    "vmap": rng.standard_normal((c,) + hw), **params}
+                    "vmap": rng.standard_normal((c,) + hw).transpose(1, 2, 0), **params}
 
 
 def test_deform_attn_matches_sample_weight_sum_oracle(rng):
@@ -211,13 +217,14 @@ def test_deform_attn_records_one_fused_sampling_op(rng, monkeypatch):
                            {p: leaves[p] for p in params}, "da", heads, k)
     assert recorded.count("bilinear_sample") == 1
     assert "mul" not in recorded and "tsum" not in recorded
+    assert "transpose" not in recorded
 
 
 def test_deform_attn_head_divisibility():
     params = make_da_params(np.random.default_rng(0), 8, 4, 2, 2)
     with pytest.raises(ConfigError):
         E.deformable_attention(T.Tensor(np.zeros((2, 9))), np.zeros((2, 2)),
-                               T.Tensor(np.zeros((4, 3, 3))), params, "da", 2, 2)
+                               T.Tensor(np.zeros((3, 3, 4))), params, "da", 2, 2)
 
 
 # -- warping --
@@ -288,7 +295,7 @@ def two_call_tsa_oracle(bev, history, motion, params, prefix, n_heads, n_points,
     refs = spec.normalize(spec.cell_centers())
     q = T.add(bev.emb, query_pos)
     warped = E.warp_history(history.emb, motion, spec)
-    outs = [E.deformable_attention(q, refs, E.map_from_rows(rows, spec.h, spec.w), params,
+    outs = [E.deformable_attention(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params,
                                    prefix, n_heads, n_points) for rows in (bev.emb, warped)]
     return E.BEVGrid(T.add(bev.emb, T.mul(T.add(*outs), T.Tensor(0.5))), spec)
 
@@ -383,7 +390,7 @@ def test_sca_zero_hit_cells_pass_through(rng):
     cams = D.build_camera_rig()
     # narrow front camera only: cells behind the ego get no hits
     cam = cams[6]
-    feats = [T.Tensor(rng.standard_normal((6, 4, 6)))]
+    feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))]
     emb = rng.standard_normal((spec.h * spec.w, dim))
     out = E.spatial_cross_attention(E.BEVGrid(T.Tensor(emb), spec), feats, [cam],
                                     params, "sca", 2, 2)
@@ -406,7 +413,7 @@ def test_sca_degenerate_rig(rng):
     sky_cam = D.Camera("up", 60.0, 60.0, 48.0, 32.0, r, -r @ pos, 96, 64)
     with pytest.raises(ConfigError, match="degenerate"):
         E.spatial_cross_attention(E.BEVGrid(T.Tensor(np.zeros((12, 8))), spec),
-                                  [T.Tensor(np.zeros((6, 4, 6)))], [sky_cam],
+                                  [T.Tensor(np.zeros((4, 6, 6)))], [sky_cam],
                                   params, "sca", 2, 2)
 
 
@@ -470,7 +477,8 @@ def test_sca_hit_rows_match_dense_oracle(rig, rng):
     params["sca/logit/w"] = rng.standard_normal((dim, heads * k))
     arrays = {"emb": rng.standard_normal((spec.h * spec.w, dim)),
               "pos": rng.standard_normal((spec.h * spec.w, dim)) * 0.1,
-              **{f"feat{i}": rng.standard_normal((c, 4, 6)) for i in range(len(cams))},
+              **{f"feat{i}": rng.standard_normal((c, 4, 6)).transpose(1, 2, 0)
+                 for i in range(len(cams))},
               **params}
     weight = rng.standard_normal((spec.h * spec.w, dim))
 
@@ -530,7 +538,7 @@ def init_enc(cfg, rng, c_feat=6):
 
 def run_encode(cfg, params, rng, history=None):
     cams = D.build_camera_rig()
-    feats = [T.Tensor(rng.standard_normal((6, 4, 6)))] * 7
+    feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))] * 7
     return E.encode(feats, cams, history, E.EgoMotion(), cfg.n_encoder_layers, params, cfg)
 
 
@@ -557,5 +565,5 @@ def test_encode_requires_positive_layers(rng):
     cfg = enc_cfg(2)
     params = init_enc(cfg, rng)
     with pytest.raises(ConfigError):
-        E.encode([T.Tensor(np.zeros((6, 4, 6)))] * 7, D.build_camera_rig(), None,
+        E.encode([T.Tensor(np.zeros((4, 6, 6)))] * 7, D.build_camera_rig(), None,
                  E.EgoMotion(), 0, params, cfg)

@@ -199,6 +199,17 @@ def test_meta_frame_count_must_be_positive(tmp_path, scenes, frames):
     assert err.value.offset == 0
 
 
+def test_second_meta_record_rejected(tmp_path, scenes):
+    D.save_dataset(scenes[:1], tmp_path)
+    ann = tmp_path / scenes[0].scene_id / "annotations.txt"
+    data = ann.read_bytes()
+    assert data.endswith(b"\n")
+    ann.write_bytes(data + b"META intersection 99 1\n")
+    with pytest.raises(D.ParseError, match="duplicate META record") as err:
+        D.load_dataset(tmp_path)
+    assert err.value.offset == len(data)
+
+
 def test_frame_records_need_meta_first(tmp_path, scenes):
     D.save_dataset(scenes[:1], tmp_path)
     ann = tmp_path / scenes[0].scene_id / "annotations.txt"

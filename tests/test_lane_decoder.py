@@ -176,7 +176,7 @@ def test_decoder_layer_matches_composed_oracle(rng):
 
     x = E.run_layer_norm(T.add(q0.emb, L.self_attention(q0.emb, params, "dec0/sa")),
                          params, "dec0/ln0")
-    bev_map = E.map_from_rows(bev.emb, bev.spec.h, bev.spec.w)
+    bev_map = T.reshape(bev.emb, (bev.spec.h, bev.spec.w, -1))
     cross = E.deformable_attention(x, T.sigmoid(q0.ref_logits), bev_map, params,
                                    "dec0/ca", cfg.n_heads, cfg.n_sample_points)
     x = E.run_layer_norm(T.add(x, cross), params, "dec0/ln1")

@@ -125,22 +125,32 @@ def test_bilinear_cell_center():
     m = np.arange(12, dtype=np.float64).reshape(1, 3, 4)
     # cell (row 1, col 2) center: u=(2+0.5)/4, v=(1+0.5)/3
     pts = T.Tensor([[2.5 / 4, 1.5 / 3]])
-    out = T.bilinear_sample(T.Tensor(m), pts)
+    out = T.bilinear_sample(T.Tensor(m.transpose(1, 2, 0)), pts)
     assert out.data[0, 0] == pytest.approx(m[0, 1, 2])
 
 
 def test_bilinear_outside_zero():
-    m = T.Tensor(np.ones((2, 3, 3)))
+    m = T.Tensor(np.ones((2, 3, 3)).transpose(1, 2, 0))
     out = T.bilinear_sample(m, T.Tensor([[-0.5, 0.5]]))
     assert np.array_equal(out.data, np.zeros((1, 2)))
 
 
+def _channel_last(m):
+    """A [C,H,W] or [G,C,H,W] test array in the kernel's [H,W,C] or [H,W,G,C] layout."""
+    return m.transpose((1, 2, 0) if m.ndim == 3 else (2, 3, 0, 1))
+
+
+def _channel_first(m):
+    """The inverse of _channel_last, for the kernel's map gradients."""
+    return m.transpose((2, 0, 1) if m.ndim == 3 else (2, 3, 0, 1))
+
+
 def _bilinear_with_grads(m, pts, w):
     tape = T.Tape()
-    a, p = tape.leaf(m), tape.leaf(pts)
+    a, p = tape.leaf(_channel_last(m)), tape.leaf(pts)
     out = T.bilinear_sample(a, p)
     tape.backward(T.tsum(T.mul(out, T.Tensor(w))))
-    return out.data, a.grad, p.grad
+    return out.data, _channel_first(a.grad), p.grad
 
 
 def _map_grad_oracle(m, pts, g):
@@ -168,7 +178,7 @@ def test_grouped_bilinear_matches_per_group_calls(rng):
     out, gmap, gpts = _bilinear_with_grads(maps, pts, w)
     assert out.shape == (g * n, c) and gmap.shape == maps.shape
     for k in range(g):
-        rows = slice(k * n, (k + 1) * n)
+        rows = slice(k, None, g)     # query-major: row r samples group r % G
         ok, gk, pk = _bilinear_with_grads(maps[k], pts[rows], w[rows])
         assert np.array_equal(out[rows], ok)
         assert np.array_equal(gmap[k], gk)
@@ -223,12 +233,12 @@ def test_bilinear_matches_scalar_oracle(rng, groups, c, h, w):
     maps = rng.standard_normal((max(groups, 1), c, h, w))
     pts = rng.uniform(-0.1, 1.1, size=(len(maps) * n, 2))
     for k in range(len(maps)):
-        pts[k * n:k * n + len(EDGE_POINTS)] = EDGE_POINTS
+        pts[k::len(maps)][:len(EDGE_POINTS)] = EDGE_POINTS
     g = rng.standard_normal((len(pts), c))
     out, gmap, gpts = _bilinear_with_grads(maps if groups else maps[0], pts, g)
     gmap = gmap if groups else gmap[None]
     for k in range(len(maps)):
-        rows = slice(k * n, (k + 1) * n)
+        rows = slice(k, None, len(maps))
         want, want_pts = _bilinear_oracle(maps[k], pts[rows], g[rows])
         assert np.array_equal(out[rows], want)
         assert np.array_equal(gmap[k], _map_grad_oracle(maps[k], pts[rows], g[rows]))
@@ -238,7 +248,7 @@ def test_bilinear_matches_scalar_oracle(rng, groups, c, h, w):
 
 def test_grouped_bilinear_rejects_uneven_points():
     with pytest.raises(T.DimensionError):
-        T.bilinear_sample(T.Tensor(np.zeros((3, 2, 4, 4))), T.Tensor(np.zeros((7, 2))))
+        T.bilinear_sample(T.Tensor(np.zeros((4, 4, 3, 2))), T.Tensor(np.zeros((7, 2))))
 
 
 def _assert_close(got, want):
@@ -256,17 +266,19 @@ def test_weighted_bilinear_matches_scalar_oracle(rng, groups, c, h, w, k):
     n = 30
     maps = rng.standard_normal((max(groups, 1), c, h, w))
     pts = rng.uniform(-0.1, 1.1, size=(len(maps) * n, 2))
+    # query-major: output row r and its K points sample group r % G
+    spans = np.arange(len(pts)).reshape(-1, k)
     for j in range(len(maps)):
-        pts[j * n:j * n + len(EDGE_POINTS)] = EDGE_POINTS
+        pts[spans[j::len(maps)].ravel()[:len(EDGE_POINTS)]] = EDGE_POINTS
     wts = rng.standard_normal((len(pts) // k, k))
     g = rng.standard_normal((len(wts), c))
     tape = T.Tape()
-    a, p, q = tape.leaf(maps if groups else maps[0]), tape.leaf(pts), tape.leaf(wts)
+    a, p, q = tape.leaf(_channel_last(maps if groups else maps[0])), tape.leaf(pts), tape.leaf(wts)
     out = T.bilinear_sample(a, p, q)
     tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
-    gmap = a.grad if groups else a.grad[None]
+    gmap = _channel_first(a.grad) if groups else _channel_first(a.grad)[None]
     for j in range(len(maps)):
-        rows, span = slice(j * n // k, (j + 1) * n // k), slice(j * n, (j + 1) * n)
+        rows, span = slice(j, None, len(maps)), spans[j::len(maps)].ravel()
         g_pt = g[rows].repeat(k, axis=0)   # each point's output-row gradient
         want, want_pts = _bilinear_oracle(maps[j], pts[span], g[rows], wts[rows])
         samples, _ = _bilinear_oracle(maps[j], pts[span], g_pt)
@@ -283,19 +295,19 @@ def test_unit_weights_equal_unweighted_call(rng):
     g = rng.standard_normal((60, 2))
     want = _bilinear_with_grads(maps, pts, g)
     tape = T.Tape()
-    a, p, q = tape.leaf(maps), tape.leaf(pts), tape.leaf(np.ones((60, 1)))
+    a, p, q = tape.leaf(_channel_last(maps)), tape.leaf(pts), tape.leaf(np.ones((60, 1)))
     out = T.bilinear_sample(a, p, q)
     tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
-    for got, ref in zip((out.data, a.grad, p.grad), want):
+    for got, ref in zip((out.data, _channel_first(a.grad), p.grad), want):
         assert np.array_equal(got, ref)
 
 
 @pytest.mark.parametrize("map_shape, shape", [
-    ((2, 4, 4), (6,)),           # not 2-D
-    ((2, 4, 4), (1, 6, 1)),
-    ((2, 4, 4), (4, 2)),         # R*K != number of points
-    ((2, 4, 4), (7, 1)),
-    ((2, 2, 4, 4), (3, 2)),      # R not divisible by the 2 groups
+    ((4, 4, 2), (6,)),           # not 2-D
+    ((4, 4, 2), (1, 6, 1)),
+    ((4, 4, 2), (4, 2)),         # R*K != number of points
+    ((4, 4, 2), (7, 1)),
+    ((4, 4, 2, 2), (3, 2)),      # R not divisible by the 2 groups
 ])
 def test_bilinear_rejects_bad_weights(map_shape, shape):
     with pytest.raises(T.DimensionError):
@@ -479,7 +491,7 @@ def test_grad_bilinear_map_and_points(rng):
     m = rng.standard_normal((2, 4, 5))
     pts = rng.uniform(0.15, 0.85, size=(6, 2))
     check_gradients(lambda a, p: T.tsum(T.mul(T.bilinear_sample(a, p), T.bilinear_sample(a, p))),
-                    [m, pts], rtol=1e-3)
+                    [m.transpose(1, 2, 0).copy(), pts], rtol=1e-3)
 
 
 def test_grad_layer_norm(rng):
@@ -508,7 +520,7 @@ def test_grad_grouped_bilinear(rng):
     m = rng.standard_normal((2, 3, 4, 5))
     pts = rng.uniform(0.15, 0.85, size=(8, 2))
     check_gradients(lambda a, p: T.tsum(T.mul(T.bilinear_sample(a, p), T.bilinear_sample(a, p))),
-                    [m, pts], rtol=1e-3)
+                    [m.transpose(2, 3, 0, 1).copy(), pts], rtol=1e-3)
 
 
 def test_grad_weighted_bilinear(rng):
@@ -516,7 +528,7 @@ def test_grad_weighted_bilinear(rng):
     pts = rng.uniform(0.15, 0.85, size=(12, 2))
     wts = rng.standard_normal((4, 3))
     check_gradients(lambda a, p, q: T.tsum(T.mul(y := T.bilinear_sample(a, p, q), y)),
-                    [m, pts, wts], rtol=1e-3)
+                    [m.transpose(2, 3, 0, 1).copy(), pts, wts], rtol=1e-3)
 
 
 def _grad_of(op, x, g):
