@@ -49,12 +49,6 @@ class BEVGridSpec:
         return np.stack([u, v], axis=-1)
 
 
-@dataclass
-class BEVGrid:
-    emb: Tensor          # [H*W, D]
-    spec: BEVGridSpec
-
-
 @dataclass(frozen=True)
 class EgoMotion:
     """Planar rigid transform: p_current = R(dyaw) @ p_previous + (dx, dy)."""
@@ -176,27 +170,27 @@ def warp_history(history_emb: Tensor, motion: EgoMotion, spec: BEVGridSpec) -> T
     return T.bilinear_sample(hist_map, T._as_tensor(uv))           # [H*W, D]
 
 
-def temporal_self_attention(bev: BEVGrid, history: BEVGrid | None, motion: EgoMotion,
-                            params, prefix, n_heads: int, n_points: int,
-                            query_pos: Tensor | None = None) -> BEVGrid:
-    """Deformable attention of the current grid over (current, warped history).
+def temporal_self_attention(bev: Tensor, query_pos: Tensor, history: Tensor | None,
+                            motion: EgoMotion, spec: BEVGridSpec, params, prefix,
+                            n_heads: int, n_points: int) -> Tensor:
+    """Deformable attention of the current grid [H*W, D] over (current, warped
+    history).
 
     With no history (sequence start) the grid attends to itself only.
     Residual connection applied; normalization is the caller's concern.
     """
-    spec = bev.spec
-    if history is not None and history.spec != spec:
-        raise T.DimensionError(f"history grid {history.spec} != current grid {spec}")
+    if history is not None and history.shape != bev.shape:
+        raise T.DimensionError(f"history grid {history.shape} != current grid {bev.shape}")
     refs = spec.normalize(spec.cell_centers())
-    q = bev.emb if query_pos is None else T.add(bev.emb, query_pos)
-    rows = bev.emb
+    q = T.add(bev, query_pos)
+    rows = bev
     if history is not None:
         # both attentions share queries, offsets and weights and are affine in
         # the map, so their mean is one attention over the mean of the maps
-        rows = T.mul(T.add(rows, warp_history(history.emb, motion, spec)), T.Tensor(0.5))
+        rows = T.mul(T.add(rows, warp_history(history, motion, spec)), T.Tensor(0.5))
     out = deformable_attention(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params, prefix,
                                n_heads, n_points)
-    return BEVGrid(T.add(bev.emb, out), spec)
+    return T.add(bev, out)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +245,9 @@ def projected_references(spec: BEVGridSpec, cameras: list[Camera], zs: np.ndarra
     return _REFERENCE_MEMO[key]
 
 
-def spatial_cross_attention(bev: BEVGrid, pv_features, cameras, params, prefix,
-                            n_heads: int, n_points: int, zs: np.ndarray | None = None,
-                            query_pos: Tensor | None = None) -> BEVGrid:
+def spatial_cross_attention(bev: Tensor, query_pos: Tensor, pv_features, cameras,
+                            spec: BEVGridSpec, zs: np.ndarray, params, prefix,
+                            n_heads: int, n_points: int) -> Tensor:
     """Lift camera features into the BEV grid at projected pillar points.
 
     Each cell raises Z reference heights; every camera that sees a point
@@ -264,17 +258,15 @@ def spatial_cross_attention(bev: BEVGrid, pv_features, cameras, params, prefix,
     over hit (view, height) pairs; cells without any hit pass through
     unchanged via the residual connection.
     """
-    spec = bev.spec
     if len(pv_features) != len(cameras):
         raise T.DimensionError(f"{len(pv_features)} feature maps vs {len(cameras)} cameras")
-    zs = pillar_heights() if zs is None else zs
     n = spec.h * spec.w
     z = len(zs)
     refs, hits = projected_references(spec, cameras, zs)
     if not any(m.any() for m in hits):
         raise ConfigError("degenerate rig: no camera sees any BEV cell")
 
-    q = bev.emb if query_pos is None else T.add(bev.emb, query_pos)
+    q = T.add(bev, query_pos)
     total = None
     counts = np.zeros(n * z)
     for cam_idx, feat in enumerate(pv_features):
@@ -290,7 +282,7 @@ def spatial_cross_attention(bev: BEVGrid, pv_features, cameras, params, prefix,
     denom = np.maximum(per_cell, 1.0)
     summed = T.tsum(T.reshape(total, (n, z, -1)), axis=1)
     avg = T.mul(summed, T._as_tensor((1.0 / denom)[:, None]))
-    return BEVGrid(T.add(bev.emb, avg), spec)
+    return T.add(bev, avg)
 
 
 # ---------------------------------------------------------------------------
@@ -314,26 +306,23 @@ def init_encoder_params(params, cfg, value_channels, rng):
             init_layer_norm(params, f"{p}/ln{j}", cfg.embed_dim)
 
 
-def encode(pv_features, cameras, history: BEVGrid | None, motion: EgoMotion,
-           n_layers: int, params, cfg) -> BEVGrid:
-    """n_layers x [temporal self-attn -> spatial cross-attn -> FFN], each
-    residual + layer-normed.  The returned grid doubles as the next
-    timestep's history."""
-    if n_layers < 1:
-        raise ConfigError(f"encoder needs >= 1 layer, got {n_layers}")
+def encode(pv_features, cameras, history: Tensor | None, motion: EgoMotion,
+           params, cfg) -> Tensor:
+    """cfg.n_encoder_layers x [temporal self-attn -> spatial cross-attn -> FFN],
+    each residual + layer-normed.  Returns the [bev_h*bev_w, D] grid, which
+    doubles as the next timestep's history."""
     spec = BEVGridSpec(cfg.bev_h, cfg.bev_w, cfg.bev_x_min, cfg.bev_x_max,
                        cfg.bev_y_min, cfg.bev_y_max)
     pos = _p(params, "bev/pos")
-    x = BEVGrid(_p(params, "bev/query"), spec)
+    x = _p(params, "bev/query")
     zs = pillar_heights(cfg.n_pillar_heights)
-    for i in range(n_layers):
+    for i in range(cfg.n_encoder_layers):
         p = f"enc{i}"
-        x = temporal_self_attention(x, history, motion, params, p + "/tsa",
-                                    cfg.n_heads, cfg.n_sample_points, query_pos=pos)
-        x = BEVGrid(run_layer_norm(x.emb, params, p + "/ln0"), spec)
-        x = spatial_cross_attention(x, pv_features, cameras, params, p + "/sca",
-                                    cfg.n_heads, cfg.n_sample_points, zs=zs, query_pos=pos)
-        x = BEVGrid(run_layer_norm(x.emb, params, p + "/ln1"), spec)
-        x = BEVGrid(run_layer_norm(T.add(x.emb, run_ffn(x.emb, params, p + "/ffn")),
-                                   params, p + "/ln2"), spec)
+        x = temporal_self_attention(x, pos, history, motion, spec, params, p + "/tsa",
+                                    cfg.n_heads, cfg.n_sample_points)
+        x = run_layer_norm(x, params, p + "/ln0")
+        x = spatial_cross_attention(x, pos, pv_features, cameras, spec, zs, params, p + "/sca",
+                                    cfg.n_heads, cfg.n_sample_points)
+        x = run_layer_norm(x, params, p + "/ln1")
+        x = run_layer_norm(T.add(x, run_ffn(x, params, p + "/ffn")), params, p + "/ln2")
     return x

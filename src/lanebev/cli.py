@@ -66,19 +66,7 @@ def _scenes_for_split(data_dir, split):
 
 
 def cmd_train(args):
-    cfg = _load_cfg(args)
-    scenes = _scenes_for_split(args.data, args.split)
-    log_path = os.path.join(args.out, "train_log.csv")
-    os.makedirs(args.out, exist_ok=True)
-    log, params, adam = train(cfg, scenes, checkpoint_dir=args.out, log_path=log_path)
-    if log.steps:
-        print(f"trained {cfg.epochs} epochs, {len(log.steps)} steps, "
-              f"final loss {log.losses()[-1]:.4f}")
-    else:
-        print("trained 0 epochs (untrained checkpoint written)")
-
-
-def cmd_resume(args):
+    """train, and resume (whose parser adds --checkpoint and the drop flags)."""
     cfg = _load_cfg(args)
     scenes = _scenes_for_split(args.data, args.split)
     os.makedirs(args.out, exist_ok=True)
@@ -87,7 +75,13 @@ def cmd_resume(args):
                               resume_from=args.checkpoint,
                               drop_optimizer_state=args.drop_optimizer_state,
                               drop_rng_state=args.drop_rng_state)
-    print(f"resumed to epoch {cfg.epochs}, {len(log.steps)} new steps")
+    if args.checkpoint:
+        print(f"resumed to epoch {cfg.epochs}, {len(log.steps)} new steps")
+    elif log.steps:
+        print(f"trained {cfg.epochs} epochs, {len(log.steps)} steps, "
+              f"final loss {log.losses()[-1]:.4f}")
+    else:
+        print("trained 0 epochs (untrained checkpoint written)")
 
 
 def cmd_eval(args):
@@ -177,11 +171,10 @@ def build_parser():
                                 description="lane-topology BEV pipeline tools")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, config=True):
-        if config:
-            sp.add_argument("--config", help="key = value config file")
-            sp.add_argument("--set", action="append", metavar="KEY=VALUE",
-                            help="config override, repeatable")
+    def common(sp):
+        sp.add_argument("--config", help="key = value config file")
+        sp.add_argument("--set", action="append", metavar="KEY=VALUE",
+                        help="config override, repeatable")
 
     g = sub.add_parser("gen-data", help="generate a synthetic dataset")
     g.add_argument("--seed", type=int, default=0)
@@ -195,7 +188,8 @@ def build_parser():
     t.add_argument("--data", required=True)
     t.add_argument("--split", help="dataset split name (train/test)")
     t.add_argument("--out", required=True, help="checkpoint directory")
-    t.set_defaults(fn=cmd_train)
+    t.set_defaults(fn=cmd_train, checkpoint=None, drop_optimizer_state=False,
+                   drop_rng_state=False)
 
     r = sub.add_parser("resume", help="resume training from a checkpoint")
     common(r)
@@ -207,7 +201,7 @@ def build_parser():
                    help="diagnostic: reset Adam moments at resume")
     r.add_argument("--drop-rng-state", action="store_true",
                    help="diagnostic: reseed the RNG at resume")
-    r.set_defaults(fn=cmd_resume)
+    r.set_defaults(fn=cmd_train)
 
     e = sub.add_parser("eval", help="evaluate predictions (Chamfer mAP)")
     common(e)

@@ -11,7 +11,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import ConfigError
-from .bev_encoder import (BEVGrid, deformable_attention, init_deform_attn, init_ffn,
+from .bev_encoder import (deformable_attention, init_deform_attn, init_ffn,
                           init_layer_norm, init_linear, run_ffn, run_layer_norm, run_linear, _p)
 from .tensor import Tensor
 
@@ -77,17 +77,16 @@ def initial_queries(params) -> LaneQuerySet:
     return LaneQuerySet(_p(params, "dec/query"), _p(params, "dec/ref_logits"))
 
 
-def decoder_layer(q: LaneQuerySet, bev: BEVGrid, params, prefix, n_heads: int,
+def decoder_layer(q: LaneQuerySet, bev_map: Tensor, params, prefix, n_heads: int,
                   n_points: int) -> LaneQuerySet:
-    """Self-attention -> deformable cross-attention into the BEV map at each
-    query's reference point -> FFN, all residual + layer-normed; finally the
-    refinement head shifts the reference logits (zero-initialized, so an
-    untrained layer leaves them unchanged)."""
+    """Self-attention -> deformable cross-attention into the BEV map
+    [bev_h, bev_w, D] at each query's reference point -> FFN, all residual +
+    layer-normed; finally the refinement head shifts the reference logits
+    (zero-initialized, so an untrained layer leaves them unchanged)."""
     x = run_layer_norm(T.add(q.emb, self_attention(q.emb, params, prefix + "/sa")),
                        params, prefix + "/ln0")
-    bev_map = T.reshape(bev.emb, (bev.spec.h, bev.spec.w, -1))
-    refs = T.sigmoid(q.ref_logits)
-    cross = deformable_attention(x, refs, bev_map, params, prefix + "/ca", n_heads, n_points)
+    cross = deformable_attention(x, q.reference_points(), bev_map, params, prefix + "/ca",
+                                 n_heads, n_points)
     x = run_layer_norm(T.add(x, cross), params, prefix + "/ln1")
     x = run_layer_norm(T.add(x, run_ffn(x, params, prefix + "/ffn")), params, prefix + "/ln2")
     delta = run_linear(T.relu(run_linear(x, params, prefix + "/refine/fc0")),
@@ -95,14 +94,14 @@ def decoder_layer(q: LaneQuerySet, bev: BEVGrid, params, prefix, n_heads: int,
     return LaneQuerySet(x, T.add(q.ref_logits, delta))
 
 
-def decode(q0: LaneQuerySet, bev: BEVGrid, n_layers: int, params, cfg) -> list[LaneQuerySet]:
-    """Returns every layer's query set so each can be supervised
-    (deep-supervision convention); the last one feeds the prediction head."""
-    if n_layers < 1:
-        raise ConfigError(f"decoder needs >= 1 layer, got {n_layers}")
+def decode(q0: LaneQuerySet, bev: Tensor, params, cfg) -> list[LaneQuerySet]:
+    """Runs cfg.n_decoder_layers over the [bev_h*bev_w, D] grid and returns
+    every layer's query set so each can be supervised (deep-supervision
+    convention); the last one feeds the prediction head."""
+    bev_map = T.reshape(bev, (cfg.bev_h, cfg.bev_w, -1))
     out = []
     q = q0
-    for i in range(n_layers):
-        q = decoder_layer(q, bev, params, f"dec{i}", cfg.n_heads, cfg.n_sample_points)
+    for i in range(cfg.n_decoder_layers):
+        q = decoder_layer(q, bev_map, params, f"dec{i}", cfg.n_heads, cfg.n_sample_points)
         out.append(q)
     return out

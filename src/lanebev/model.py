@@ -11,7 +11,7 @@ import numpy as np
 from . import tensor as T
 from .backbone import (BACKBONE_PRESETS, BackboneConfig, extract_features,
                        feature_channels, init_backbone_params)
-from .bev_encoder import BEVGrid, EgoMotion, encode, init_encoder_params
+from .bev_encoder import EgoMotion, encode, init_encoder_params
 from .heads import head_outputs, init_head_params, predict, total_loss
 from .lane_decoder import LaneQuerySet, decode, init_decoder_params, initial_queries
 
@@ -31,15 +31,16 @@ def init_model_params(cfg, rng) -> dict:
     return params
 
 
-def forward_frame(images, cameras, history: BEVGrid | None, motion: EgoMotion,
+def forward_frame(images, cameras, history: T.Tensor | None, motion: EgoMotion,
                   params, cfg):
     """One frame through the whole pipeline.
 
-    Returns (per-decoder-layer LaneQuerySets, BEV grid for history threading).
+    Returns (per-decoder-layer LaneQuerySets, the [bev_h*bev_w, D] BEV grid for
+    history threading).
     """
     feats = extract_features(images, backbone_config(cfg), params)
-    bev = encode(feats, cameras, history, motion, cfg.n_encoder_layers, params, cfg)
-    return decode(initial_queries(params), bev, cfg.n_decoder_layers, params, cfg), bev
+    bev = encode(feats, cameras, history, motion, params, cfg)
+    return decode(initial_queries(params), bev, params, cfg), bev
 
 
 def _frame_motion(scene, t) -> EgoMotion:
@@ -59,7 +60,7 @@ def _run_scene(scene, params, cfg):
         qsets, bev = forward_frame(frame.images, frame.cameras, history,
                                    _frame_motion(scene, t), params, cfg)
         yield qsets
-        history = BEVGrid(bev.emb.detach(), bev.spec)
+        history = bev.detach()
 
 
 def stack_layers(qsets: list[LaneQuerySet]) -> LaneQuerySet:

@@ -488,7 +488,8 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     its heads as groups).  Align-corners-false: pixel (r, c) center sits at
     u=(c+0.5)/W, v=(r+0.5)/H.  Points outside the unit square return zeros;
     neighbours outside the map contribute zero (border-zero policy).  With
-    weights [R,K], output row r is sum_k weights[r, k] * sample(points[r*K+k]).
+    weights [R,K], output row r is sum_k weights[r, k] * sample(points[r*K+k]);
+    no weights means unit weights [N,1].
 
     One CSR matrix S [R, H*W*G] holds corner weight times point weight per
     point and corner (00, 01, 10, 11) over the map's rows [H*W*G, C]: the
@@ -499,7 +500,8 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     h, w, c = value_map.shape[0], value_map.shape[1], value_map.shape[-1]
     groups = value_map.shape[2] if value_map.ndim == 4 else 1
     n = points.data.size // 2
-    shape = (n, 1) if weights is None else weights.shape
+    weights = Tensor(np.ones((n, 1))) if weights is None else weights
+    shape = weights.shape
     if points.shape != (n, 2) or len(shape) != 2 or shape[0] * shape[1] != n or shape[0] % groups:
         raise DimensionError(f"points {points.shape} and weights {shape} unfit for {groups} groups")
     rows, k = shape
@@ -521,9 +523,9 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     # the corner pixels, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
     pixel = ((at[:, 1] * w)[:, None] + at[:, 0]).reshape(4, -1)
     wgt = (wts[:, 1, None] * wts[:, 0]).reshape(4, -1)
-    pw = None if weights is None else weights.data.reshape(-1).take(idx_in)
+    pw = weights.data.reshape(-1).take(idx_in)
     indptr = np.concatenate([[0], np.cumsum(4 * np.bincount(rows_in, minlength=rows))])
-    interp = scipy.sparse.csr_matrix(((wgt if pw is None else wgt * pw).T.ravel(),
+    interp = scipy.sparse.csr_matrix(((wgt * pw).T.ravel(),
                                       (pixel * groups + rows_in % groups).T.ravel(), indptr),
                                      shape=(rows, h * w * groups))
     vrows = value_map.data.reshape(-1, c)  # [H*W*G, C]
@@ -536,9 +538,9 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
         prod = (g.reshape(-1, groups, c).transpose(1, 0, 2)
                 @ vrows.reshape(h * w, groups, c).transpose(1, 2, 0))   # [G, R/G, H*W]
         dot = prod[rows_in % groups, rows_in // groups, pixel]
-        if weights is not None:
+        if weights.tape is not None:
             _accumulate(weights, np.bincount(idx_in, (dot * wgt).sum(axis=0), n).reshape(rows, k))
-            dot *= pw
+        dot *= pw
         if points.tape is not None:
             sgn = valid * [[[-1.0]], [[1.0]]]
             dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
@@ -547,5 +549,5 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
             gpts[idx_in, 0] = (dot * dwx * w).sum(axis=0)
             gpts[idx_in, 1] = (dot * dwy * h).sum(axis=0)
             _accumulate(points, gpts)
-    out = _op(interp @ vrows, (value_map, points) + (() if weights is None else (weights,)), backward)
+    out = _op(interp @ vrows, (value_map, points, weights), backward)
     return out

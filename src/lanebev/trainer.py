@@ -238,6 +238,13 @@ def load_checkpoint(path):
             (adam_t,) = _unpack(f, "<Q")
             if f.read(1):
                 raise CheckpointError("trailing bytes after the checkpoint")
+            # Adam needs one moment of the parameter's shape per parameter
+            for label, moments in zip("mv", sections[1:]):
+                bad = sorted(moments.keys() ^ sections[0].keys()) or [
+                    k for k in sorted(moments) if moments[k].shape != sections[0][k].shape]
+                if bad:
+                    raise CheckpointError(f"Adam {label} section disagrees with the parameters "
+                                          f"at {bad[0]!r}")
     except CheckpointError as e:   # every message names the file, once
         raise CheckpointError(f"{path}: {e}") from None
     adam = {"step": adam_t, "m": sections[1], "v": sections[2]}

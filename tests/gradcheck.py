@@ -12,8 +12,11 @@ H = 1e-4
 
 
 def fd_gradients(fn, arrays, h=H):
-    """Finite-difference gradient of scalar fn(*arrays) w.r.t. each array."""
-    base = [np.array(a, dtype=np.float64) for a in arrays]
+    """Finite-difference gradient of scalar fn(*arrays) w.r.t. each array.
+
+    Each input is copied C-contiguous, so the flat view perturbed below is a
+    view of the array fn reads, whatever the input's memory order."""
+    base = [np.array(a, dtype=np.float64, order="C") for a in arrays]
     grads = []
     for i, a in enumerate(base):
         g = np.zeros_like(a)

@@ -271,8 +271,8 @@ def test_criterion_4_architecture_shapes(count_calls):
         counts.clear()
         cams = D.build_camera_rig()
         feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))] * 7
-        bev = encode(feats, cams, None, EgoMotion(), enc_n, params, cfg)
-        layers = decode(initial_queries(params), bev, dec_n, params, cfg)
+        bev = encode(feats, cams, None, EgoMotion(), params, cfg)
+        layers = decode(initial_queries(params), bev, params, cfg)
         counts_ok = (counts["bev_encoder.temporal_self_attention"] == enc_n
                      and counts["bev_encoder.spatial_cross_attention"] == enc_n
                      and counts["bev_encoder.run_ffn"] == enc_n
@@ -287,10 +287,10 @@ def test_criterion_4_architecture_shapes(count_calls):
 
         # query-permutation equivariance on the final layer
         q0 = initial_queries(params)
-        base = decode(q0, bev, dec_n, params, cfg)[-1]
+        base = decode(q0, bev, params, cfg)[-1]
         perm = rng.permutation(cfg.n_queries)
         qp = L.LaneQuerySet(T.Tensor(q0.emb.data[perm]), T.Tensor(q0.ref_logits.data[perm]))
-        permuted = decode(qp, bev, dec_n, params, cfg)[-1]
+        permuted = decode(qp, bev, params, cfg)[-1]
         equiv = (np.allclose(permuted.emb.data, base.emb.data[perm], atol=1e-9)
                  and np.allclose(permuted.ref_logits.data, base.ref_logits.data[perm], atol=1e-9))
         ok &= equiv

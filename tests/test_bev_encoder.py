@@ -5,7 +5,7 @@ from lanebev import bev_encoder as E
 from lanebev import dataset as D
 from lanebev import tensor as T
 from lanebev.backbone import ConfigError
-from lanebev.config import ExperimentConfig
+from lanebev.config import ConfigFileError, ExperimentConfig
 
 
 def inverse_motion(motion):
@@ -278,26 +278,24 @@ def test_tsa_history_equals_current_identity(rng):
     params = {}
     E.init_deform_attn(params, "tsa", dim, dim, 2, 2, rng)
     emb = rng.standard_normal((spec.h * spec.w, dim))
-    bev = E.BEVGrid(T.Tensor(emb), spec)
-    hist = E.BEVGrid(T.Tensor(emb.copy()), spec)
+    bev, hist, pos = T.Tensor(emb), T.Tensor(emb.copy()), T.Tensor(np.zeros_like(emb))
     # with identity motion the warped history must equal the current grid, so
     # attending over (current, history) averages two identical branches
-    solo = E.temporal_self_attention(bev, None, E.EgoMotion(), params, "tsa", 2, 2)
-    both = E.temporal_self_attention(bev, hist, E.EgoMotion(), params, "tsa", 2, 2)
-    assert np.allclose(solo.data if hasattr(solo, "data") else solo.emb.data,
-                       both.emb.data, atol=1e-12)
+    solo = E.temporal_self_attention(bev, pos, None, E.EgoMotion(), spec, params, "tsa", 2, 2)
+    both = E.temporal_self_attention(bev, pos, hist, E.EgoMotion(), spec, params, "tsa", 2, 2)
+    assert np.allclose(solo.data, both.data, atol=1e-12)
 
 
-def two_call_tsa_oracle(bev, history, motion, params, prefix, n_heads, n_points, query_pos):
+def two_call_tsa_oracle(bev, query_pos, history, motion, spec, params, prefix, n_heads,
+                        n_points):
     """TSA as the mean of two attentions: one over the current grid, one over
     the warped history."""
-    spec = bev.spec
     refs = spec.normalize(spec.cell_centers())
-    q = T.add(bev.emb, query_pos)
-    warped = E.warp_history(history.emb, motion, spec)
+    q = T.add(bev, query_pos)
+    warped = E.warp_history(history, motion, spec)
     outs = [E.deformable_attention(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params,
-                                   prefix, n_heads, n_points) for rows in (bev.emb, warped)]
-    return E.BEVGrid(T.add(bev.emb, T.mul(T.add(*outs), T.Tensor(0.5))), spec)
+                                   prefix, n_heads, n_points) for rows in (bev, warped)]
+    return T.add(bev, T.mul(T.add(*outs), T.Tensor(0.5)))
 
 
 def test_tsa_matches_two_call_oracle(rng):
@@ -316,8 +314,7 @@ def test_tsa_matches_two_call_oracle(rng):
         tape = T.Tape()
         leaves = {name: tape.leaf(a) for name, a in arrays.items()}
         p = {name: leaves[name] for name in params}
-        out = tsa(E.BEVGrid(leaves["emb"], spec), E.BEVGrid(leaves["hist"], spec), motion,
-                  p, "tsa", heads, k, query_pos=leaves["pos"]).emb
+        out = tsa(leaves["emb"], leaves["pos"], leaves["hist"], motion, spec, p, "tsa", heads, k)
         tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
         return out.data, {name: t.grad for name, t in leaves.items()}
 
@@ -331,22 +328,24 @@ def test_tsa_matches_two_call_oracle(rng):
 def test_tsa_with_history_attends_once(rng, count_calls):
     spec = small_spec()
     params = make_da_params(rng, 8, 8, 2, 2, prefix="tsa")
-    bev = E.BEVGrid(T.Tensor(rng.standard_normal((12, 8))), spec)
-    hist = E.BEVGrid(T.Tensor(rng.standard_normal((12, 8))), spec)
+    bev = T.Tensor(rng.standard_normal((12, 8)))
+    hist = T.Tensor(rng.standard_normal((12, 8)))
+    pos = T.Tensor(np.zeros((12, 8)))
     counts = count_calls(E, "deformable_attention")
-    E.temporal_self_attention(bev, hist, E.EgoMotion(0.5, 0.2, 0.1), params, "tsa", 2, 2)
+    E.temporal_self_attention(bev, pos, hist, E.EgoMotion(0.5, 0.2, 0.1), spec, params,
+                              "tsa", 2, 2)
     assert counts["bev_encoder.deformable_attention"] == 1
 
 
 def test_tsa_grid_mismatch():
     spec = small_spec()
-    other = E.BEVGridSpec(4, 3, -9.0, 8.0, -6.0, 6.0)
     params = {}
     E.init_deform_attn(params, "tsa", 8, 8, 2, 2, np.random.default_rng(0))
-    bev = E.BEVGrid(T.Tensor(np.zeros((12, 8))), spec)
-    hist = E.BEVGrid(T.Tensor(np.zeros((12, 8))), other)
+    bev = T.Tensor(np.zeros((12, 8)))
+    hist = T.Tensor(np.zeros((10, 8)))     # a history grid of another size
     with pytest.raises(T.DimensionError):
-        E.temporal_self_attention(bev, hist, E.EgoMotion(), params, "tsa", 2, 2)
+        E.temporal_self_attention(bev, T.Tensor(np.zeros((12, 8))), hist, E.EgoMotion(), spec,
+                                  params, "tsa", 2, 2)
 
 
 # -- spatial cross-attention --
@@ -392,13 +391,13 @@ def test_sca_zero_hit_cells_pass_through(rng):
     cam = cams[6]
     feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))]
     emb = rng.standard_normal((spec.h * spec.w, dim))
-    out = E.spatial_cross_attention(E.BEVGrid(T.Tensor(emb), spec), feats, [cam],
-                                    params, "sca", 2, 2)
+    out = E.spatial_cross_attention(T.Tensor(emb), T.Tensor(np.zeros_like(emb)), feats, [cam],
+                                    spec, E.pillar_heights(), params, "sca", 2, 2)
     refs, hits = E.projected_references(spec, [cam], E.pillar_heights())
     per_cell = hits[0].reshape(-1, 4).any(axis=1)
     assert (~per_cell).any(), "expected some unseen cells behind the ego"
-    assert np.array_equal(out.emb.data[~per_cell], emb[~per_cell])
-    assert not np.allclose(out.emb.data[per_cell], emb[per_cell])
+    assert np.array_equal(out.data[~per_cell], emb[~per_cell])
+    assert not np.allclose(out.data[per_cell], emb[per_cell])
 
 
 def test_sca_degenerate_rig(rng):
@@ -412,9 +411,9 @@ def test_sca_degenerate_rig(rng):
     pos = np.array([0.0, 0.0, 60.0])
     sky_cam = D.Camera("up", 60.0, 60.0, 48.0, 32.0, r, -r @ pos, 96, 64)
     with pytest.raises(ConfigError, match="degenerate"):
-        E.spatial_cross_attention(E.BEVGrid(T.Tensor(np.zeros((12, 8))), spec),
-                                  [T.Tensor(np.zeros((4, 6, 6)))], [sky_cam],
-                                  params, "sca", 2, 2)
+        E.spatial_cross_attention(T.Tensor(np.zeros((12, 8))), T.Tensor(np.zeros((12, 8))),
+                                  [T.Tensor(np.zeros((4, 6, 6)))], [sky_cam], spec,
+                                  E.pillar_heights(), params, "sca", 2, 2)
 
 
 def test_hit_masks_ignore_feature_values(rng):
@@ -427,14 +426,13 @@ def test_hit_masks_ignore_feature_values(rng):
         assert np.array_equal(a, b)
 
 
-def dense_sca_oracle(bev, pv_features, cameras, params, prefix, n_heads, n_points, zs,
-                     query_pos):
+def dense_sca_oracle(bev, query_pos, pv_features, cameras, spec, zs, params, prefix, n_heads,
+                     n_points):
     """Spatial cross-attention over every (cell, height) query of every
     camera, with the misses multiplied by zero afterwards."""
-    spec = bev.spec
     n, z = spec.h * spec.w, len(zs)
     refs, hits = E.projected_references(spec, cameras, zs)
-    q = T.add(bev.emb, query_pos)
+    q = T.add(bev, query_pos)
     q_rep = q[np.repeat(np.arange(n), z)]                        # [N*Z, D]
     total = None
     counts = np.zeros(n * z)
@@ -449,7 +447,7 @@ def dense_sca_oracle(bev, pv_features, cameras, params, prefix, n_heads, n_point
         counts += mask
     denom = np.maximum(counts.reshape(n, z).sum(axis=1), 1.0)
     summed = T.tsum(T.reshape(total, (n, z, -1)), axis=1)
-    return E.BEVGrid(T.add(bev.emb, T.mul(summed, T.Tensor((1.0 / denom)[:, None]))), spec)
+    return T.add(bev, T.mul(summed, T.Tensor((1.0 / denom)[:, None])))
 
 
 def sky_camera():
@@ -487,8 +485,7 @@ def test_sca_hit_rows_match_dense_oracle(rig, rng):
         leaves = {name: tape.leaf(a) for name, a in arrays.items()}
         feats = [leaves[f"feat{i}"] for i in range(len(cams))]
         p = {name: leaves[name] for name in params}
-        out = sca(E.BEVGrid(leaves["emb"], spec), feats, cams, p, "sca", heads, k,
-                  zs=zs, query_pos=leaves["pos"]).emb
+        out = sca(leaves["emb"], leaves["pos"], feats, cams, spec, zs, p, "sca", heads, k)
         tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
         return out.data, {name: t.grad for name, t in leaves.items()}
 
@@ -539,7 +536,7 @@ def init_enc(cfg, rng, c_feat=6):
 def run_encode(cfg, params, rng, history=None):
     cams = D.build_camera_rig()
     feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))] * 7
-    return E.encode(feats, cams, history, E.EgoMotion(), cfg.n_encoder_layers, params, cfg)
+    return E.encode(feats, cams, history, E.EgoMotion(), params, cfg)
 
 
 @pytest.mark.parametrize("n_layers", [2, 3, 4])
@@ -558,12 +555,10 @@ def test_encode_deterministic(rng):
     params = init_enc(cfg, rng)
     a = run_encode(cfg, params, np.random.default_rng(5))
     b = run_encode(cfg, params, np.random.default_rng(5))
-    assert np.array_equal(a.emb.data, b.emb.data)
+    assert np.array_equal(a.data, b.data)
 
 
-def test_encode_requires_positive_layers(rng):
-    cfg = enc_cfg(2)
-    params = init_enc(cfg, rng)
-    with pytest.raises(ConfigError):
-        E.encode([T.Tensor(np.zeros((4, 6, 6)))] * 7, D.build_camera_rig(), None,
-                 E.EgoMotion(), 0, params, cfg)
+def test_encode_requires_positive_layers():
+    """encode runs cfg.n_encoder_layers layers; the config rejects a count below 1."""
+    with pytest.raises(ConfigFileError, match="at least one layer"):
+        enc_cfg(0)

@@ -48,6 +48,7 @@ def checkpoint(tmp_path_factory):
         data = f.read()
     assert data[211] == 48     # "a/w"'s payload length prefix: 6 float64s
     assert data[160:172] == bytes(12)   # the RNG blob's has_uint32 and uinteger
+    assert data[344:347] == b"a/w"      # the name of "a/w"'s first Adam moment
     return path, data
 
 
@@ -55,13 +56,18 @@ def checkpoint(tmp_path_factory):
 @example(changes=[(211, 47)])  # a payload that is not a whole number of float64s
 @example(changes=[(168, 1)])   # the RNG's cached uint32 above 2**32
 @example(changes=[(160, 2)])   # the RNG's has_uint32 flag neither 0 nor 1
+@example(changes=[(346, ord("x"))])  # a first moment named "a/x", for no such parameter
 def test_mutated_checkpoint_loads_or_raises_checkpoint_error(checkpoint, changes):
     path, data = checkpoint
     _mutated(path, data, changes)
     try:
-        TR.load_checkpoint(path)
+        ck = TR.load_checkpoint(path)
     except TR.CheckpointError:
-        pass
+        return
+    params = ck["params"]
+    for moments in (ck["adam"]["m"], ck["adam"]["v"]):
+        assert moments.keys() == params.keys()
+        assert all(moments[k].shape == params[k].shape for k in params)
 
 
 @pytest.fixture(scope="module")

@@ -29,6 +29,8 @@ def test_invalid_layer_counts():
     with pytest.raises(ConfigFileError):
         ExperimentConfig(n_encoder_layers=0)
     with pytest.raises(ConfigFileError):
+        ExperimentConfig(n_decoder_layers=0)
+    with pytest.raises(ConfigFileError):
         ExperimentConfig(embed_dim=30, n_heads=5)
 
 

@@ -5,7 +5,7 @@ from lanebev import bev_encoder as E
 from lanebev import lane_decoder as L
 from lanebev import tensor as T
 from lanebev.backbone import ConfigError
-from lanebev.config import ExperimentConfig
+from lanebev.config import ConfigFileError, ExperimentConfig
 
 
 def make_sa_params(rng, dim):
@@ -112,9 +112,7 @@ def make_decoder(cfg, rng):
 
 
 def make_bev(cfg, rng):
-    spec = E.BEVGridSpec(cfg.bev_h, cfg.bev_w, cfg.bev_x_min, cfg.bev_x_max,
-                         cfg.bev_y_min, cfg.bev_y_max)
-    return E.BEVGrid(T.Tensor(rng.standard_normal((spec.h * spec.w, cfg.embed_dim))), spec)
+    return T.Tensor(rng.standard_normal((cfg.bev_h * cfg.bev_w, cfg.embed_dim)))
 
 
 def test_initial_references_inside_unit_square(rng):
@@ -129,7 +127,7 @@ def test_zero_refinement_keeps_references(rng):
     cfg = dec_cfg()
     params = make_decoder(cfg, rng)
     q0 = L.initial_queries(params)
-    out = L.decode(q0, make_bev(cfg, rng), cfg.n_decoder_layers, params, cfg)
+    out = L.decode(q0, make_bev(cfg, rng), params, cfg)
     # refine/fc1 is zero-initialized, so fresh layers leave references alone
     for q in out:
         assert np.array_equal(q.ref_logits.data, q0.ref_logits.data)
@@ -140,7 +138,7 @@ def test_refinement_moves_references(rng):
     params = make_decoder(cfg, rng)
     params["dec0/refine/fc1/w"] = rng.standard_normal((cfg.embed_dim, 2)) * 0.1
     q0 = L.initial_queries(params)
-    out = L.decode(q0, make_bev(cfg, rng), cfg.n_decoder_layers, params, cfg)
+    out = L.decode(q0, make_bev(cfg, rng), params, cfg)
     assert not np.allclose(out[0].ref_logits.data, q0.ref_logits.data)
 
 
@@ -149,7 +147,7 @@ def test_decode_returns_per_layer_outputs(n_dec, rng, count_calls):
     cfg = dec_cfg(n_dec)
     params = make_decoder(cfg, rng)
     counts = count_calls(L, "self_attention", "deformable_attention", "run_ffn")
-    out = L.decode(L.initial_queries(params), make_bev(cfg, rng), n_dec, params, cfg)
+    out = L.decode(L.initial_queries(params), make_bev(cfg, rng), params, cfg)
     assert len(out) == n_dec
     assert counts["lane_decoder.self_attention"] == n_dec
     assert counts["lane_decoder.deformable_attention"] == n_dec
@@ -159,24 +157,22 @@ def test_decode_returns_per_layer_outputs(n_dec, rng, count_calls):
         assert q.ref_logits.shape == (cfg.n_queries, 2)
 
 
-def test_decode_requires_positive_layers(rng):
-    cfg = dec_cfg()
-    params = make_decoder(cfg, rng)
-    with pytest.raises(ConfigError):
-        L.decode(L.initial_queries(params), make_bev(cfg, rng), 0, params, cfg)
+def test_decode_requires_positive_layers():
+    """decode runs cfg.n_decoder_layers layers; the config rejects a count below 1."""
+    with pytest.raises(ConfigFileError, match="at least one layer"):
+        dec_cfg(0)
 
 
 def test_decoder_layer_matches_composed_oracle(rng):
     """One layer equals the hand-composed sequence of its published pieces."""
     cfg = dec_cfg()
     params = make_decoder(cfg, rng)
-    bev = make_bev(cfg, rng)
+    bev_map = T.reshape(make_bev(cfg, rng), (cfg.bev_h, cfg.bev_w, -1))
     q0 = L.initial_queries(params)
-    got = L.decoder_layer(q0, bev, params, "dec0", cfg.n_heads, cfg.n_sample_points)
+    got = L.decoder_layer(q0, bev_map, params, "dec0", cfg.n_heads, cfg.n_sample_points)
 
     x = E.run_layer_norm(T.add(q0.emb, L.self_attention(q0.emb, params, "dec0/sa")),
                          params, "dec0/ln0")
-    bev_map = T.reshape(bev.emb, (bev.spec.h, bev.spec.w, -1))
     cross = E.deformable_attention(x, T.sigmoid(q0.ref_logits), bev_map, params,
                                    "dec0/ca", cfg.n_heads, cfg.n_sample_points)
     x = E.run_layer_norm(T.add(x, cross), params, "dec0/ln1")
@@ -192,10 +188,10 @@ def test_decode_query_permutation_equivariance(rng):
     params = make_decoder(cfg, rng)
     bev = make_bev(cfg, rng)
     q0 = L.initial_queries(params)
-    base = L.decode(q0, bev, cfg.n_decoder_layers, params, cfg)[-1]
+    base = L.decode(q0, bev, params, cfg)[-1]
     perm = rng.permutation(cfg.n_queries)
     qp = L.LaneQuerySet(T.Tensor(q0.emb.data[perm]), T.Tensor(q0.ref_logits.data[perm]))
-    permuted = L.decode(qp, bev, cfg.n_decoder_layers, params, cfg)[-1]
+    permuted = L.decode(qp, bev, params, cfg)[-1]
     assert np.allclose(permuted.emb.data, base.emb.data[perm], atol=1e-9)
     assert np.allclose(permuted.ref_logits.data, base.ref_logits.data[perm], atol=1e-9)
 
@@ -204,9 +200,7 @@ def test_decode_deterministic(rng):
     cfg = dec_cfg()
     params = make_decoder(cfg, rng)
     bev_arr = np.random.default_rng(3).standard_normal((cfg.bev_h * cfg.bev_w, cfg.embed_dim))
-    spec = E.BEVGridSpec(cfg.bev_h, cfg.bev_w, cfg.bev_x_min, cfg.bev_x_max,
-                         cfg.bev_y_min, cfg.bev_y_max)
-    runs = [L.decode(L.initial_queries(params), E.BEVGrid(T.Tensor(bev_arr.copy()), spec),
-                     cfg.n_decoder_layers, params, cfg)[-1] for _ in range(2)]
+    runs = [L.decode(L.initial_queries(params), T.Tensor(bev_arr.copy()), params, cfg)[-1]
+            for _ in range(2)]
     assert np.array_equal(runs[0].emb.data, runs[1].emb.data)
     assert np.array_equal(runs[0].ref_logits.data, runs[1].ref_logits.data)

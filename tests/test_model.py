@@ -4,7 +4,7 @@ import pytest
 from lanebev import dataset as D
 from lanebev import model as M
 from lanebev import tensor as T
-from lanebev.bev_encoder import BEVGrid, EgoMotion
+from lanebev.bev_encoder import EgoMotion
 from lanebev.config import ExperimentConfig
 
 MICRO = dict(backbone="toy-shallow", embed_dim=16, n_heads=2, n_sample_points=2,
@@ -35,7 +35,7 @@ def test_forward_frame_shapes(scene, cfg, params):
     outs = [M.head_outputs(q, params, cfg) for q in qsets]
     assert outs[-1].cls_logits.shape == (cfg.n_queries, 3)
     assert outs[-1].centerline.shape == (cfg.n_queries, cfg.n_points, 2)
-    assert bev.emb.shape == (cfg.bev_h * cfg.bev_w, cfg.embed_dim)
+    assert bev.shape == (cfg.bev_h * cfg.bev_w, cfg.embed_dim)
 
 
 def test_scene_loss_finite_and_deterministic(scene, cfg, params):
@@ -68,7 +68,7 @@ def test_history_changes_later_frames(scene, cfg, params):
     frame0, frame1 = scene.frames[0], scene.frames[1]
     _, bev0 = M.forward_frame(frame0.images, frame0.cameras, None, EgoMotion(),
                               params, cfg)
-    hist = BEVGrid(bev0.emb.detach(), bev0.spec)
+    hist = bev0.detach()
     qsets_hist, _ = M.forward_frame(frame1.images, frame1.cameras, hist,
                                     M._frame_motion(scene, 1), params, cfg)
     qsets_cold, _ = M.forward_frame(frame1.images, frame1.cameras, None,
@@ -159,7 +159,7 @@ def test_scene_runner_matches_frames_threaded_by_hand(scene, cfg, params):
         out = M.head_outputs(M.stack_layers(qsets), params, cfg)
         losses.append(M.total_loss(out, scene.groundtruth[t], cfg)[0].item())
         preds[f"{scene.scene_id}/frame_{t}"] = M.predict(qsets[-1], params, cfg)
-        history = BEVGrid(bev.emb.detach(), bev.spec)
+        history = bev.detach()
     assert len(losses) == 2
     assert M.scene_loss(scene, params, cfg)[0].item() == np.mean(losses)
     got = M.predict_scene(scene, params, cfg)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from lanebev import tensor as T
-from gradcheck import check_gradients
+from gradcheck import check_gradients, fd_gradients
 
 
 def test_matmul_identity():
@@ -492,6 +492,12 @@ def test_grad_bilinear_map_and_points(rng):
     pts = rng.uniform(0.15, 0.85, size=(6, 2))
     check_gradients(lambda a, p: T.tsum(T.mul(T.bilinear_sample(a, p), T.bilinear_sample(a, p))),
                     [m.transpose(1, 2, 0).copy(), pts], rtol=1e-3)
+
+
+def test_fd_oracle_perturbs_non_contiguous_inputs(rng):
+    x = rng.standard_normal((3, 4)).T       # Fortran-ordered view
+    (g,) = fd_gradients(lambda a: float((a * a).sum()), [x])
+    assert np.allclose(g, 2 * x, atol=1e-6)
 
 
 def test_grad_layer_norm(rng):

@@ -314,6 +314,17 @@ def test_checkpoint_corrupt_array_record(tmp_path, rng, at, new):
         TR.load_checkpoint(path)
 
 
+def test_checkpoint_moment_shape_must_match_parameter(tmp_path, rng):
+    """A (1,) moment for a (3,) bias would broadcast through Adam unnoticed."""
+    path = str(tmp_path / "ck.bin")
+    params = {"a/w": rng.standard_normal((2, 3)), "b": rng.standard_normal(3)}
+    adam = TR.init_adam_state(params)
+    adam["v"]["b"] = np.zeros(1)
+    TR.save_checkpoint(path, micro_cfg(), params, adam, np.random.default_rng(0), 1, 2, 3.0)
+    with pytest.raises(TR.CheckpointError, match="Adam v section disagrees .* at 'b'"):
+        TR.load_checkpoint(path)
+
+
 def test_restore_checkpoint_checks_config_hash(tmp_path, rng):
     path, _ = _small_checkpoint(tmp_path, rng)
     assert TR.restore_checkpoint(path, micro_cfg(epochs=7))["step"] == 2
