@@ -197,8 +197,13 @@ def temporal_self_attention(bev: Tensor, query_pos: Tensor, history: Tensor | No
 # spatial cross-attention
 
 
-def pillar_heights(n: int = 4, z_min: float = -1.0, z_max: float = 2.0) -> np.ndarray:
-    return np.linspace(z_min, z_max, n)
+# the vertical extent (m, ego frame) of every cell's pillar of reference heights
+PILLAR_Z_MIN, PILLAR_Z_MAX = -1.0, 2.0
+
+
+def pillar_heights(n: int) -> np.ndarray:
+    """n reference heights spread evenly over [PILLAR_Z_MIN, PILLAR_Z_MAX]."""
+    return np.linspace(PILLAR_Z_MIN, PILLAR_Z_MAX, n)
 
 
 # the last rig seen: a dataset's rig is fixed, so every layer and frame reuses it
@@ -218,25 +223,19 @@ def projected_references(spec: BEVGridSpec, cameras: list[Camera], zs: np.ndarra
          for c in cameras], dtype=np.float64).tobytes())
     if key in _REFERENCE_MEMO:
         return _REFERENCE_MEMO[key]
-    centers = spec.cell_centers()
-    n = len(centers)
-    z = len(zs)
+    n, z = spec.h * spec.w, len(zs)
+    # every (cell, height) point once, cell-major: row i is cell i // Z at height i % Z
+    pts3 = np.concatenate([np.repeat(spec.cell_centers(), z, axis=0), np.tile(zs, n)[:, None]],
+                          axis=1)
     refs, hits = [], []
     for cam in cameras:
-        r = np.full((n * z, 2), -1.0)
-        m = np.zeros(n * z, dtype=bool)
-        for zi, zz in enumerate(zs):
-            pts3 = np.concatenate([centers, np.full((n, 1), zz)], axis=1)
-            cam_pts = pts3 @ cam.r.T + cam.t
-            depth = cam_pts[:, 2]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                u = cam.fx * cam_pts[:, 0] / depth + cam.cx
-                v = cam.fy * cam_pts[:, 1] / depth + cam.cy
-            ok = (depth > 1e-9) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
-            idx = np.arange(n) * z + zi
-            m[idx] = ok
-            r[idx[ok], 0] = u[ok] / cam.width
-            r[idx[ok], 1] = v[ok] / cam.height
+        cam_pts = pts3 @ cam.r.T + cam.t
+        depth = cam_pts[:, 2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            u = cam.fx * cam_pts[:, 0] / depth + cam.cx
+            v = cam.fy * cam_pts[:, 1] / depth + cam.cy
+        m = (depth > 1e-9) & (u >= 0) & (u < cam.width) & (v >= 0) & (v < cam.height)
+        r = np.where(m[:, None], np.stack([u / cam.width, v / cam.height], axis=1), -1.0)
         r.flags.writeable = m.flags.writeable = False
         refs.append(r)
         hits.append(m)

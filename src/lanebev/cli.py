@@ -69,7 +69,6 @@ def cmd_train(args):
     """train, and resume (whose parser adds --checkpoint and the drop flags)."""
     cfg = _load_cfg(args)
     scenes = _scenes_for_split(args.data, args.split)
-    os.makedirs(args.out, exist_ok=True)
     log, params, adam = train(cfg, scenes, checkpoint_dir=args.out,
                               log_path=os.path.join(args.out, "train_log.csv"),
                               resume_from=args.checkpoint,

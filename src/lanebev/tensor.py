@@ -494,6 +494,9 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     One CSR matrix S [R, H*W*G] holds corner weight times point weight per
     point and corner (00, 01, 10, 11) over the map's rows [H*W*G, C]: the
     forward is S @ rows, the map gradient S.T @ g, both in (point, corner) order.
+    Every point owns its four entries (4K per row).  One outside the square,
+    NaN and inf included, is clamped into it for indexing at point weight zero,
+    so a non-finite map value there reaches the row, as an off-map neighbour's can.
     """
     if value_map.ndim not in (3, 4):
         raise DimensionError(f"bilinear_sample expects an [H,W,(G,)C] map, got {value_map.shape}")
@@ -505,28 +508,26 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     if points.shape != (n, 2) or len(shape) != 2 or shape[0] * shape[1] != n or shape[0] % groups:
         raise DimensionError(f"points {points.shape} and weights {shape} unfit for {groups} groups")
     rows, k = shape
-    u, v = points.data.T
-    inside = (u >= 0.0) & (u <= 1.0) & (v >= 0.0) & (v <= 1.0)
-    # out-of-square points contribute (and receive) exactly zero, so they get
-    # no matrix entries and the gradients visit the in-bounds subset only
-    idx_in = np.nonzero(inside)[0]
-    rows_in = idx_in // k
+    p = points.data.T  # [2 (x, y), n]
+    inside = (p[0] >= 0.0) & (p[0] <= 1.0) & (p[1] >= 0.0) & (p[1] <= 1.0)
 
-    # per axis (x, y), lo is in [-1, size-1] inside the square: each neighbour
-    # is clamped on one side only, and one outside the map gets weight zero
-    size = np.array([[w], [h]])
-    f = points.data.T.take(idx_in, axis=1) * size - 0.5  # [2 (x, y), n_in]
-    lo = np.floor(f).astype(np.int64)
-    valid = np.stack([lo >= 0, lo + 1 < size])  # [2 (lo, hi), 2 (x, y), n_in]
+    # per axis (x, y), lo is in [-1, size-1]: each neighbour is clamped on
+    # one side only, and one outside the map gets weight zero; int32 indices
+    # are what scipy keeps, so the CSR constructor copies none of them
+    size = np.array([[w], [h]], dtype=np.int32)
+    f = np.fmin(np.fmax(p, 0.0), 1.0) * size - 0.5
+    lo = np.floor(f).astype(np.int32)
+    valid = np.stack([lo >= 0, lo + 1 < size])  # [2 (lo, hi), 2 (x, y), n]
     wts = np.stack([1.0 - (f - lo), f - lo]) * valid
     at = np.stack([np.maximum(lo, 0), np.minimum(lo + 1, size - 1)])
-    # the corner pixels, corner-major [4, n_in] in the order 00, 01, 10, 11 (dy, dx)
+    # the corner pixels, corner-major [4, n] in the order 00, 01, 10, 11 (dy, dx)
     pixel = ((at[:, 1] * w)[:, None] + at[:, 0]).reshape(4, -1)
     wgt = (wts[:, 1, None] * wts[:, 0]).reshape(4, -1)
-    pw = weights.data.reshape(-1).take(idx_in)
-    indptr = np.concatenate([[0], np.cumsum(4 * np.bincount(rows_in, minlength=rows))])
+    pw = np.where(inside, weights.data.reshape(-1), 0.0)
+    row = np.arange(n, dtype=np.int32) // k
     interp = scipy.sparse.csr_matrix(((wgt * pw).T.ravel(),
-                                      (pixel * groups + rows_in % groups).T.ravel(), indptr),
+                                      (pixel * groups + row % groups).T.ravel(),
+                                      np.arange(0, 4 * n + 1, 4 * k, dtype=np.int32)),
                                      shape=(rows, h * w * groups))
     vrows = value_map.data.reshape(-1, c)  # [H*W*G, C]
 
@@ -534,20 +535,18 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
         g = out.grad
         if value_map.tape is not None:
             _accumulate(value_map, (interp.T @ g).reshape(value_map.shape))
-        # per entry g[row] . map row [4, n_in], read from one product per group
+        # per entry g[row] . map row [4, n], read from one product per group
         prod = (g.reshape(-1, groups, c).transpose(1, 0, 2)
                 @ vrows.reshape(h * w, groups, c).transpose(1, 2, 0))   # [G, R/G, H*W]
-        dot = prod[rows_in % groups, rows_in // groups, pixel]
+        dot = prod[row % groups, row // groups, pixel]
         if weights.tape is not None:
-            _accumulate(weights, np.bincount(idx_in, (dot * wgt).sum(axis=0), n).reshape(rows, k))
+            _accumulate(weights, np.where(inside, (dot * wgt).sum(axis=0), 0.0).reshape(rows, k))
         dot *= pw
         if points.tape is not None:
             sgn = valid * [[[-1.0]], [[1.0]]]
             dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
             dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)
-            gpts = np.zeros_like(points.data)
-            gpts[idx_in, 0] = (dot * dwx * w).sum(axis=0)
-            gpts[idx_in, 1] = (dot * dwy * h).sum(axis=0)
-            _accumulate(points, gpts)
+            gpts = np.stack([(dot * dwx * w).sum(axis=0), (dot * dwy * h).sum(axis=0)])
+            _accumulate(points, np.where(inside, gpts, 0.0).T)
     out = _op(interp @ vrows, (value_map, points, weights), backward)
     return out

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ConfigFileError, apply_overrides, preset_config
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, init_model_params, predict_scene, scene_loss
 from .tensor import Tape
@@ -297,10 +298,16 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
 
     resume_from continues a saved checkpoint; the config hash must match.
     The diagnostic flags discard the named part of the restored state so
-    the post-resume loss jump can be studied.
+    the post-resume loss jump can be studied.  Groundtruth polylines must
+    have cfg.n_points points, checked before the first step.
     """
     if not scenes:
         raise ValueError("dataset is empty")
+    counts = {len(line) for s in scenes for gts in s.groundtruth for gt in gts
+              for line in (gt.centerline, gt.left_boundary, gt.right_boundary)}
+    if counts - {cfg.n_points}:
+        raise ConfigFileError(f"groundtruth polylines have {sorted(counts)} points, "
+                              f"but n_points = {cfg.n_points}")
     scenes = sorted(scenes, key=lambda s: s.scene_id)
     if resume_from is not None:
         ck = restore_checkpoint(resume_from, cfg)
@@ -344,10 +351,6 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
     return log, params, adam
 
 
-def resume(checkpoint_path, cfg, scenes, **kwargs):
-    return train(cfg, scenes, resume_from=checkpoint_path, **kwargs)
-
-
 # ---------------------------------------------------------------------------
 # experiment suite
 
@@ -361,8 +364,6 @@ def run_experiment_suite(train_scenes, eval_scenes, epochs, seed=0,
 
     Returns a list of row dicts (preset, epochs, sec_per_epoch, map).
     """
-    from .config import apply_overrides, preset_config
-
     gts = groundtruth_by_frame(eval_scenes)
     rows = []
     for name in presets:

@@ -370,7 +370,7 @@ def test_criterion_7_determinism_resume(tmp_path):
     ckdir = str(tmp_path / "ck")
     TR.train(ExperimentConfig(**base, epochs=8), scenes, checkpoint_dir=ckdir)
     ck_path = os.path.join(ckdir, "ckpt_epoch_8.bin")
-    log_r, resumed, _ = TR.resume(ck_path, cfg_full, scenes)
+    log_r, resumed, _ = TR.train(cfg_full, scenes, resume_from=ck_path)
     bit_identical = all(np.array_equal(straight[k], resumed[k]) for k in straight)
 
     ck = TR.load_checkpoint(ck_path)
@@ -382,7 +382,7 @@ def test_criterion_7_determinism_resume(tmp_path):
 
     # resetting Adam moments at resume should cause a transient loss increase
     # relative to the bit-exact resume over the first post-resume epoch
-    log_drop, _, _ = TR.resume(ck_path, cfg_full, scenes, drop_optimizer_state=True)
+    log_drop, _, _ = TR.train(cfg_full, scenes, resume_from=ck_path, drop_optimizer_state=True)
     n = len(scenes)
     jump = np.mean(log_drop.losses()[:n]) - np.mean(log_r.losses()[:n])
     ok = bit_identical and roundtrip and jump > 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -363,18 +365,19 @@ def overhead_camera(spec):
 def test_sca_overhead_camera_full_hits():
     spec = small_spec()
     cam = overhead_camera(spec)
-    refs, hits = E.projected_references(spec, [cam], E.pillar_heights())
+    refs, hits = E.projected_references(spec, [cam], E.pillar_heights(4))
     assert hits[0].all()
 
 
 def test_sca_hit_mask_matches_projection_oracle(rng):
+    """Row n*Z + zi of every camera is cell n at height zs[zi]."""
     spec = E.BEVGridSpec(2, 2, -4.0, 4.0, -4.0, 4.0)
     cams = D.build_camera_rig()
-    zs = np.array([1.0])
+    zs = np.array([1.0, -1.0, 2.0])
     refs, hits = E.projected_references(spec, cams, zs)
     for ci, cam in enumerate(cams):
-        for n, (x, y) in enumerate(spec.cell_centers()):
-            got = D.project((x, y, 1.0), cam)
+        for n, ((x, y), zz) in enumerate(itertools.product(spec.cell_centers(), zs)):
+            got = D.project((x, y, zz), cam)
             assert hits[ci][n] == (got is not None)
             if got is not None:
                 u, v = got
@@ -392,8 +395,8 @@ def test_sca_zero_hit_cells_pass_through(rng):
     feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))]
     emb = rng.standard_normal((spec.h * spec.w, dim))
     out = E.spatial_cross_attention(T.Tensor(emb), T.Tensor(np.zeros_like(emb)), feats, [cam],
-                                    spec, E.pillar_heights(), params, "sca", 2, 2)
-    refs, hits = E.projected_references(spec, [cam], E.pillar_heights())
+                                    spec, E.pillar_heights(4), params, "sca", 2, 2)
+    refs, hits = E.projected_references(spec, [cam], E.pillar_heights(4))
     per_cell = hits[0].reshape(-1, 4).any(axis=1)
     assert (~per_cell).any(), "expected some unseen cells behind the ego"
     assert np.array_equal(out.data[~per_cell], emb[~per_cell])
@@ -413,13 +416,13 @@ def test_sca_degenerate_rig(rng):
     with pytest.raises(ConfigError, match="degenerate"):
         E.spatial_cross_attention(T.Tensor(np.zeros((12, 8))), T.Tensor(np.zeros((12, 8))),
                                   [T.Tensor(np.zeros((4, 6, 6)))], [sky_cam], spec,
-                                  E.pillar_heights(), params, "sca", 2, 2)
+                                  E.pillar_heights(4), params, "sca", 2, 2)
 
 
 def test_hit_masks_ignore_feature_values(rng):
     spec = small_spec()
     cams = D.build_camera_rig()
-    zs = E.pillar_heights()
+    zs = E.pillar_heights(4)
     _, h1 = E.projected_references(spec, cams, zs)
     _, h2 = E.projected_references(spec, cams, zs)
     for a, b in zip(h1, h2):
@@ -469,7 +472,7 @@ def test_sca_hit_rows_match_dense_oracle(rig, rng):
     spec = small_spec()
     dim, c, heads, k = 8, 6, 2, 2
     cams = rig()
-    zs = E.pillar_heights()
+    zs = E.pillar_heights(4)
     params = make_da_params(rng, dim, c, heads, k, prefix="sca")
     params["sca/offset/w"] = rng.standard_normal((dim, heads * k * 2)) * 0.05
     params["sca/logit/w"] = rng.standard_normal((dim, heads * k))
@@ -502,7 +505,7 @@ def test_sca_hit_rows_match_dense_oracle(rig, rng):
 
 def test_projected_references_memo_tracks_rig_content():
     spec = small_spec()
-    zs = E.pillar_heights()
+    zs = E.pillar_heights(4)
     cams = D.build_camera_rig()
     refs, hits = E.projected_references(spec, cams, zs)
     assert E.projected_references(spec, D.build_camera_rig(), zs)[1] is hits

@@ -4,7 +4,9 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from lanebev import cli
 from lanebev.cli import main
+from lanebev.trainer import TrainLog
 
 MICRO_SETS = []
 for kv in ("embed_dim=16", "n_heads=2", "n_sample_points=2", "n_pillar_heights=2",
@@ -98,6 +100,29 @@ def test_train_rejects_bad_config_value(data_dir, tmp_path, capsys, override, fi
     assert code == 2
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "ck").exists()
+
+
+def test_train_rejects_polylines_unlike_n_points(data_dir, tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--data", data_dir, "--out", str(tmp_path / "ck"),
+                       *MICRO_SETS, "--set", "n_points=4")
+    assert code == 2
+    assert "[10] points, but n_points = 4" in err and "Traceback" not in err
+    assert not (tmp_path / "ck").exists()
+
+
+@pytest.mark.parametrize("command, flags, drop", [
+    ("train", [], False), ("resume", ["--checkpoint", "ck.bin"], False),
+    ("resume", ["--checkpoint", "ck.bin", "--drop-rng-state"], True)])
+def test_drop_rng_state_flag_reaches_train(data_dir, tmp_path, capsys, monkeypatch,
+                                           command, flags, drop):
+    calls = []
+    monkeypatch.setattr(cli, "train",
+                        lambda cfg, scenes, **kw: calls.append(kw) or (TrainLog(), {}, {}))
+    monkeypatch.setattr(cli, "_print_config", lambda cfg: None)
+    code, _, _ = run(capsys, command, *flags, "--data", data_dir, "--out", str(tmp_path),
+                     *MICRO_SETS)
+    assert code == 0
+    assert [(kw["drop_rng_state"], kw["drop_optimizer_state"]) for kw in calls] == [(drop, False)]
 
 
 def test_eval_rejects_non_utf8_config(data_dir, tmp_path, capsys):

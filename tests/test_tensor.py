@@ -1,5 +1,6 @@
 import gc
 import inspect
+import warnings
 import weakref
 
 import numpy as np
@@ -300,6 +301,49 @@ def test_unit_weights_equal_unweighted_call(rng):
     tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
     for got, ref in zip((out.data, _channel_first(a.grad), p.grad), want):
         assert np.array_equal(got, ref)
+
+
+def test_bilinear_non_finite_and_far_points_get_zero_weight(rng):
+    """NaN, +-inf, +-1e300 and other out-of-square points keep their four
+    matrix entries, indexed by coordinates clamped into the square, at point
+    weight zero.  Rows made only of them read +0.0, their point and weight
+    gradients are +0.0, the rest matches the scalar oracle, and no numpy
+    warning fires.  The map here is finite: a non-finite map value at a
+    clamped pixel can reach a row through such a zero-weight entry (0 * inf
+    is NaN), as an off-map neighbour's already can."""
+    T.set_debug_checks(False)    # the points hold NaN and inf on purpose
+    far = [[np.nan, 0.5], [0.5, np.nan], [np.inf, 0.5], [-np.inf, -np.inf],
+           [1e300, 0.5], [0.5, -1e300], [-0.25, 0.5], [1.0 + 1e-12, 1.0]]
+    groups, k, c = 2, 4, 3
+    maps = rng.standard_normal((groups, c, 4, 5))
+    pts = rng.uniform(0.0, 1.0, (6 * k, 2))
+    pts[:8] = far                      # rows 0 and 1, one per group, only far points
+    pts[8:16] = EDGE_POINTS            # rows 2 and 3
+    pts[17::2] = far[::2]              # rows 4 and 5 mix far and inside points
+    outside = ~((pts >= 0.0) & (pts <= 1.0)).all(axis=1)
+    wts = rng.standard_normal((len(pts) // k, k))
+    g = rng.standard_normal((len(wts), c))
+    tape = T.Tape()
+    a, p, q = tape.leaf(_channel_last(maps)), tape.leaf(pts), tape.leaf(wts)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = T.bilinear_sample(a, p, q)
+        tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    plus_zero = lambda x: np.array_equal(x, np.zeros_like(x)) and not np.signbit(x).any()
+    assert plus_zero(out.data[:2])
+    assert plus_zero(p.grad[outside]) and plus_zero(q.grad.ravel()[outside])
+    spans = np.arange(len(pts)).reshape(-1, k)
+    oracle_pts = np.where(outside[:, None], -1.0, pts)   # out of the square, finite
+    for j in range(groups):
+        rows, span = slice(j, None, groups), spans[j::groups].ravel()
+        g_pt = g[rows].repeat(k, axis=0)
+        want, want_pts = _bilinear_oracle(maps[j], oracle_pts[span], g[rows], wts[rows])
+        samples, _ = _bilinear_oracle(maps[j], oracle_pts[span], g_pt)
+        _assert_close(out.data[rows], want)
+        _assert_close(_channel_first(a.grad)[j], _map_grad_oracle(
+            maps[j], oracle_pts[span], wts[rows].reshape(-1, 1) * g_pt))
+        _assert_close(p.grad[span], want_pts)
+        _assert_close(q.grad[rows], (samples * g_pt).sum(axis=1).reshape(-1, k))
 
 
 @pytest.mark.parametrize("map_shape, shape", [

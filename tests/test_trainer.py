@@ -7,7 +7,7 @@ import pytest
 
 from lanebev import dataset as D
 from lanebev import trainer as TR
-from lanebev.config import ExperimentConfig
+from lanebev.config import ConfigFileError, ExperimentConfig
 
 MICRO = dict(backbone="toy-shallow", embed_dim=16, n_heads=2, n_sample_points=2,
              n_pillar_heights=2, ffn_dim=16, n_encoder_layers=1, n_decoder_layers=1,
@@ -370,7 +370,7 @@ def test_train_resume_bit_identical(tmp_path, scenes):
 
     cfg2 = dataclasses.replace(cfg4, epochs=2)
     TR.train(cfg2, scenes, checkpoint_dir=str(tmp_path))
-    _, resumed, adam_r = TR.resume(str(tmp_path / "ckpt_epoch_2.bin"), cfg4, scenes)
+    _, resumed, adam_r = TR.train(cfg4, scenes, resume_from=str(tmp_path / "ckpt_epoch_2.bin"))
     assert sorted(straight) == sorted(resumed)
     for k in straight:
         assert np.array_equal(straight[k], resumed[k]), k
@@ -401,8 +401,8 @@ def test_checkpoint_with_decoder_key_bias_still_loads(tmp_path, scenes):
     assert predict_scene(scenes[0], restored["params"], cfg) == predict_scene(scenes[0], clean, cfg)
 
     cfg2 = micro_cfg(epochs=2)
-    _, resumed, _ = TR.resume(old, cfg2, scenes)
-    _, want, _ = TR.resume(str(tmp_path / "ckpt_epoch_1.bin"), cfg2, scenes)
+    _, resumed, _ = TR.train(cfg2, scenes, resume_from=old)
+    _, want, _ = TR.train(cfg2, scenes, resume_from=str(tmp_path / "ckpt_epoch_1.bin"))
     assert sorted(want) == sorted(clean)
     for k in want:
         assert np.array_equal(resumed[k], want[k]), k
@@ -413,7 +413,7 @@ def test_resume_hash_mismatch(tmp_path, scenes):
     TR.train(cfg, scenes, checkpoint_dir=str(tmp_path))
     other = micro_cfg(epochs=2, seed=99)
     with pytest.raises(TR.ConfigHashMismatchError, match="hash"):
-        TR.resume(str(tmp_path / "ckpt_epoch_1.bin"), other, scenes)
+        TR.train(other, scenes, resume_from=str(tmp_path / "ckpt_epoch_1.bin"))
 
 
 def test_resume_drop_optimizer_state_changes_trajectory(tmp_path, scenes):
@@ -421,10 +421,41 @@ def test_resume_drop_optimizer_state_changes_trajectory(tmp_path, scenes):
     log_straight, _, _ = TR.train(cfg, scenes)
     cfg2 = dataclasses.replace(cfg, epochs=2)
     TR.train(cfg2, scenes, checkpoint_dir=str(tmp_path))
-    log_drop, _, _ = TR.resume(str(tmp_path / "ckpt_epoch_2.bin"), cfg, scenes,
-                               drop_optimizer_state=True)
+    log_drop, _, _ = TR.train(cfg, scenes, resume_from=str(tmp_path / "ckpt_epoch_2.bin"),
+                              drop_optimizer_state=True)
     straight_tail = log_straight.losses()[2 * len(scenes):]
     assert log_drop.losses() != straight_tail
+
+
+def test_resume_drop_rng_state_reseeds_epoch_order(tmp_path, monkeypatch):
+    """drop_rng_state draws the resumed epoch's order from default_rng(cfg.seed);
+    without it, the checkpoint's generator continues."""
+    scenes4 = [D.generate_scene(s, D.scenario_for_seed(s), D.GenParams(frames=1, n_points=4))
+               for s in range(4)]
+    ids = sorted(s.scene_id for s in scenes4)
+    cfg = micro_cfg(n_queries=16)    # room for every scene's groundtruth
+    TR.train(dataclasses.replace(cfg, epochs=1), scenes4, checkpoint_dir=str(tmp_path))
+    ck = str(tmp_path / "ckpt_epoch_1.bin")
+    seen = []
+    step = TR._train_step
+    monkeypatch.setattr(TR, "_train_step",
+                        lambda scene, *a: seen.append(scene.scene_id) or step(scene, *a))
+    orders = {}
+    for drop in (False, True):
+        seen.clear()
+        TR.train(dataclasses.replace(cfg, epochs=2), scenes4, resume_from=ck, drop_rng_state=drop)
+        orders[drop] = list(seen)
+    reseeded = [ids[i] for i in np.random.default_rng(cfg.seed).permutation(4)]
+    kept = [ids[i] for i in TR.load_checkpoint(ck)["rng"].permutation(4)]
+    assert reseeded != kept
+    assert orders == {True: reseeded, False: kept}
+
+
+def test_train_rejects_polylines_unlike_n_points(tmp_path, scenes):
+    """4-point groundtruth under n_points = 10 fails before the first step."""
+    with pytest.raises(ConfigFileError, match=r"\[4\] points, but n_points = 10"):
+        TR.train(micro_cfg(n_points=10), scenes, checkpoint_dir=str(tmp_path / "ck"))
+    assert not (tmp_path / "ck").exists()
 
 
 def test_epoch_wall_time_accounting(scenes):
