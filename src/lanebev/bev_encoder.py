@@ -125,35 +125,42 @@ def run_ffn(x, params, prefix):
 # deformable attention
 
 
-def deformable_attention(queries: Tensor, ref_points, value_map: Tensor, params, prefix,
-                         n_heads: int, n_points: int) -> Tensor:
-    """Per query and head: K learned offsets and softmax weights around the
-    reference point; bilinear-samples the projected value map there and
-    mixes through the output projection.  Differentiable in queries, value
-    map and (via the offsets) the sampling locations.
+def deformable_attention(queries: Tensor, views, params, prefix, n_heads: int,
+                         n_points: int) -> list[Tensor]:
+    """Per query and head: K learned offsets and softmax weights around a
+    reference point, projected once from the [N, D] queries.  Each view
+    ``(value_map, query_index, ref_points)`` takes the offsets and weights
+    of the queries ``query_index``, bilinear-samples its own projected
+    channel-last map [H, W, C] around its [rows, 2] reference points and
+    mixes through the output projection into its own [rows, D] output.
+    TSA and the decoder pass one view, SCA one per camera.  Differentiable
+    in queries, value maps and (via the offsets) the sampling locations.
 
-    As in Deformable DETR, every head samples in one grouped
+    As in Deformable DETR, each view samples every head in one grouped
     ``bilinear_sample`` call over an [H, W, heads, d_head] view of the
-    projected channel-last value map [H, W, C], with the points laid out
-    query-major as [N*heads*K, 2] and the attention weights folded into the
-    kernel as [N*heads, K].
+    projected map, points query-major as [rows*heads*K, 2] and the
+    attention weights folded into the kernel as [rows*heads, K].
     """
     n, dim = queries.shape
     if dim % n_heads != 0:
         raise ConfigError(f"embed dim {dim} not divisible by {n_heads} heads")
     d_head = dim // n_heads
-    h, w, c = value_map.shape
-
-    value = run_linear(T.reshape(value_map, (h * w, c)), params, prefix + "/value")  # [H*W, D]
-    value_maps = T.reshape(value, (h, w, n_heads, d_head))
-
-    refs = T.reshape(T._as_tensor(ref_points), (n, 1, 1, 2))
     offsets = T.reshape(run_linear(queries, params, prefix + "/offset"), (n, n_heads, n_points, 2))
-    pts = T.reshape(T.add(refs, offsets), (n * n_heads * n_points, 2))
-    logits = T.reshape(run_linear(queries, params, prefix + "/logit"), (n * n_heads, n_points))
+    logits = T.reshape(run_linear(queries, params, prefix + "/logit"), (n, n_heads, n_points))
+    weights = T.softmax(logits, axis=-1)
 
-    weighted = T.bilinear_sample(value_maps, pts, T.softmax(logits, axis=-1))  # [N*heads, d_head]
-    return run_linear(T.reshape(weighted, (n, dim)), params, prefix + "/out")
+    outs = []
+    for value_map, query_index, ref_points in views:
+        h, w, c = value_map.shape
+        value = run_linear(T.reshape(value_map, (h * w, c)), params, prefix + "/value")  # [H*W, D]
+        value_maps = T.reshape(value, (h, w, n_heads, d_head))
+        rows = ref_points.shape[0]
+        refs = T.reshape(T._as_tensor(ref_points), (rows, 1, 1, 2))
+        pts = T.reshape(T.add(refs, offsets[query_index]), (rows * n_heads * n_points, 2))
+        attn = T.reshape(weights[query_index], (rows * n_heads, n_points))
+        weighted = T.bilinear_sample(value_maps, pts, attn)  # [rows*heads, d_head]
+        outs.append(run_linear(T.reshape(weighted, (rows, dim)), params, prefix + "/out"))
+    return outs
 
 
 # ---------------------------------------------------------------------------
@@ -188,8 +195,8 @@ def temporal_self_attention(bev: Tensor, query_pos: Tensor, history: Tensor | No
         # both attentions share queries, offsets and weights and are affine in
         # the map, so their mean is one attention over the mean of the maps
         rows = T.mul(T.add(rows, warp_history(history, motion, spec)), T.Tensor(0.5))
-    out = deformable_attention(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params, prefix,
-                               n_heads, n_points)
+    view = (T.reshape(rows, (spec.h, spec.w, -1)), slice(None), refs)
+    out, = deformable_attention(q, [view], params, prefix, n_heads, n_points)
     return T.add(bev, out)
 
 
@@ -251,33 +258,30 @@ def spatial_cross_attention(bev: Tensor, query_pos: Tensor, pv_features, cameras
 
     Each cell raises Z reference heights; every camera that sees a point
     ("hit") contributes a deformable-attention sample around the projected
-    pixel.  Each camera attends from its hit (cell, height) rows only: they
-    are gathered, attended and scattered back into the [H*W*Z, D] buffer,
-    so misses cost nothing forward or backward.  Contributions are averaged
-    over hit (view, height) pairs; cells without any hit pass through
-    unchanged via the residual connection.
+    pixel.  Each camera attends from its hit (cell, height) rows only, with
+    the offsets and weights of row i's cell i // Z, and its outputs are
+    scattered back into the [H*W*Z, D] buffer, so misses cost nothing
+    forward or backward.  Contributions are averaged over hit (view,
+    height) pairs; cells without any hit pass through unchanged via the
+    residual connection.
     """
     if len(pv_features) != len(cameras):
         raise T.DimensionError(f"{len(pv_features)} feature maps vs {len(cameras)} cameras")
     n = spec.h * spec.w
     z = len(zs)
     refs, hits = projected_references(spec, cameras, zs)
-    if not any(m.any() for m in hits):
+    seen = [i for i, m in enumerate(hits) if m.any()]
+    if not seen:
         raise ConfigError("degenerate rig: no camera sees any BEV cell")
 
-    q = T.add(bev, query_pos)
+    rows = [np.nonzero(hits[i])[0] for i in seen]
+    views = [(pv_features[i], r // z, refs[i][r]) for i, r in zip(seen, rows)]
+    outs = deformable_attention(T.add(bev, query_pos), views, params, prefix, n_heads, n_points)
     total = None
-    counts = np.zeros(n * z)
-    for cam_idx, feat in enumerate(pv_features):
-        rows = np.nonzero(hits[cam_idx])[0]
-        if not len(rows):
-            continue
-        out = deformable_attention(q[rows // z], refs[cam_idx][rows], feat, params, prefix,
-                                   n_heads, n_points)
-        out = T.scatter_rows(out, rows, n * z)
+    for r, out in zip(rows, outs):
+        out = T.scatter_rows(out, r, n * z)
         total = out if total is None else T.add(total, out)
-        counts += hits[cam_idx]
-    per_cell = counts.reshape(n, z).sum(axis=1)
+    per_cell = np.sum(hits, axis=0).reshape(n, z).sum(axis=1)
     denom = np.maximum(per_cell, 1.0)
     summed = T.tsum(T.reshape(total, (n, z, -1)), axis=1)
     avg = T.mul(summed, T._as_tensor((1.0 / denom)[:, None]))

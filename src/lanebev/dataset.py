@@ -121,19 +121,6 @@ def build_camera_rig(width: int = 96, height: int = 64) -> list[Camera]:
     return cams
 
 
-def project(point3d, camera: Camera):
-    """Ego-frame 3D point to pixel (u, v), or None if behind / off-image."""
-    p = camera.r @ np.asarray(point3d, dtype=np.float64) + camera.t
-    z = p[2]
-    if z <= 1e-9:
-        return None
-    u = camera.fx * p[0] / z + camera.cx
-    v = camera.fy * p[1] / z + camera.cy
-    if not (0.0 <= u < camera.width and 0.0 <= v < camera.height):
-        return None
-    return (u, v)
-
-
 # ---------------------------------------------------------------------------
 # scene data
 

@@ -85,8 +85,8 @@ def decoder_layer(q: LaneQuerySet, bev_map: Tensor, params, prefix, n_heads: int
     (zero-initialized, so an untrained layer leaves them unchanged)."""
     x = run_layer_norm(T.add(q.emb, self_attention(q.emb, params, prefix + "/sa")),
                        params, prefix + "/ln0")
-    cross = deformable_attention(x, q.reference_points(), bev_map, params, prefix + "/ca",
-                                 n_heads, n_points)
+    cross, = deformable_attention(x, [(bev_map, slice(None), q.reference_points())], params,
+                                  prefix + "/ca", n_heads, n_points)
     x = run_layer_norm(T.add(x, cross), params, prefix + "/ln1")
     x = run_layer_norm(T.add(x, run_ffn(x, params, prefix + "/ffn")), params, prefix + "/ln2")
     delta = run_linear(T.relu(run_linear(x, params, prefix + "/refine/fc0")),

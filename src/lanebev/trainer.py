@@ -356,13 +356,16 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
 
 
 SUITE_PRESETS = ("baseline-3:6", "shallow-backbone", "2:4", "4:8")
+# per-step wall time and its forward / backward / optimizer split, in ms
+STEP_MS = ("wall_ms", "fwd_ms", "bwd_ms", "opt_ms")
 
 
 def run_experiment_suite(train_scenes, eval_scenes, epochs, seed=0,
                          presets=SUITE_PRESETS, base_overrides=()):
     """Train every preset on one dataset and compare sec/epoch and mAP.
 
-    Returns a list of row dicts (preset, epochs, sec_per_epoch, map).
+    Returns a list of row dicts (preset, epochs, sec_per_epoch, map, and
+    the median per-step wall_ms, fwd_ms, bwd_ms and opt_ms).
     """
     gts = groundtruth_by_frame(eval_scenes)
     rows = []
@@ -376,13 +379,16 @@ def run_experiment_suite(train_scenes, eval_scenes, epochs, seed=0,
         report = evaluate(preds, gts)
         rows.append({"preset": name, "epochs": epochs,
                      "sec_per_epoch": float(np.mean(log.epoch_seconds)),
-                     "map": report.map_value})
+                     "map": report.map_value,
+                     **{k: float(np.median([r[k] for r in log.steps])) for k in STEP_MS}})
     return rows
 
 
 def format_suite_table(rows) -> str:
-    lines = [f"{'preset':<18} {'epochs':>6} {'sec/epoch':>10} {'mAP':>8}"]
+    lines = [f"{'preset':<18} {'epochs':>6} {'sec/epoch':>10} {'mAP':>8}"
+             + "".join(f" {k:>8}" for k in STEP_MS)]
     for r in rows:
         lines.append(f"{r['preset']:<18} {r['epochs']:>6d} "
-                     f"{r['sec_per_epoch']:>10.2f} {r['map']:>8.4f}")
+                     f"{r['sec_per_epoch']:>10.2f} {r['map']:>8.4f}"
+                     + "".join(f" {r[k]:>8.1f}" for k in STEP_MS))
     return "\n".join(lines)

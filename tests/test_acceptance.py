@@ -203,8 +203,8 @@ def test_criterion_3_oracle_equivalence():
     q = rng.standard_normal((4, dim))
     refs = rng.uniform(0.15, 0.85, (4, 2))
     vmap = rng.standard_normal((c, 5, 5))
-    got = deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params, "da",
-                               heads, k).data
+    view = (T.Tensor(vmap.transpose(1, 2, 0)), slice(None), refs)
+    got = deformable_attention(T.Tensor(q), [view], params, "da", heads, k)[0].data
     from test_bev_encoder import dense_deform_attn_oracle
     want = dense_deform_attn_oracle(q, refs, vmap, params, "da", heads, k)
     da_err = np.abs(got - want).max() / np.abs(want).max()
@@ -231,13 +231,14 @@ def test_criterion_3_oracle_equivalence():
     notes.append(f"chamfer {'exact' if cham_ok else 'MISMATCH'}")
 
     # projection vs scalar recomputation (exact)
+    from test_dataset import project
     proj_ok = True
     cams = D.build_camera_rig()
     for _ in range(200):
         p = rng.uniform(-25, 25, 3)
         p[2] = rng.uniform(-1, 2)
         cam = cams[int(rng.integers(len(cams)))]
-        got = D.project(p, cam)
+        got = project(p, cam)
         pc = cam.r @ p + cam.t
         if pc[2] <= 1e-9:
             want = None

@@ -8,6 +8,7 @@ from lanebev import dataset as D
 from lanebev import tensor as T
 from lanebev.backbone import ConfigError
 from lanebev.config import ConfigFileError, ExperimentConfig
+from test_dataset import project
 
 
 def inverse_motion(motion):
@@ -24,6 +25,13 @@ def make_da_params(rng, dim=8, c=5, heads=2, k=3, prefix="da"):
     params = {}
     E.init_deform_attn(params, prefix, dim, c, heads, k, rng)
     return params
+
+
+def attend(queries, ref_points, value_map, params, prefix, heads, k):
+    """Deformable attention of every query over one map."""
+    out, = E.deformable_attention(queries, [(value_map, slice(None), ref_points)], params, prefix,
+                                  heads, k)
+    return out
 
 
 def dense_deform_attn_oracle(q, refs, vmap, params, prefix, heads, k):
@@ -76,8 +84,7 @@ def test_deform_attn_matches_dense_oracle(rng):
     q = rng.standard_normal((2, dim))
     refs = rng.uniform(0.1, 0.9, (2, 2))
     vmap = rng.standard_normal((c, 4, 4))
-    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
-                                 "da", heads, k)
+    got = attend(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params, "da", heads, k)
     want = dense_deform_attn_oracle(q, refs, vmap, params, "da", heads, k)
     assert np.abs(got.data - want).max() / max(np.abs(want).max(), 1e-12) < 1e-10
 
@@ -90,8 +97,7 @@ def test_deform_attn_multihead_oracle(rng):
     q = rng.standard_normal((5, dim))
     refs = rng.uniform(0.1, 0.9, (5, 2))
     vmap = rng.standard_normal((c, 6, 5))
-    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
-                                 "da", heads, k)
+    got = attend(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params, "da", heads, k)
     want = dense_deform_attn_oracle(q, refs, vmap, params, "da", heads, k)
     assert np.abs(got.data - want).max() / np.abs(want).max() < 1e-10
 
@@ -105,8 +111,7 @@ def test_deform_attn_collapse_to_single_cell(rng):
     # ref at cell (row 1, col 2) center
     refs = np.array([[2.5 / 4, 1.5 / 4]])
     q = rng.standard_normal((1, dim))
-    got = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
-                                 "da", heads, k)
+    got = attend(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params, "da", heads, k)
     cell = vmap[:, 1, 2] @ params["da/value/w"] + params["da/value/b"]
     want = cell @ params["da/out/w"] + params["da/out/b"]
     assert np.abs(got.data[0] - want).max() < 1e-10
@@ -118,9 +123,8 @@ def test_deform_attn_outside_refs_zero_pre_projection(rng):
     params["da/offset/b"] = np.zeros(heads * k * 2)
     refs = np.array([[-0.3, 0.5], [1.4, 2.0]])
     q = rng.standard_normal((2, dim))
-    got = E.deformable_attention(T.Tensor(q), refs,
-                                 T.Tensor(rng.standard_normal((c, 4, 4)).transpose(1, 2, 0)),
-                                 params, "da", heads, k)
+    got = attend(T.Tensor(q), refs, T.Tensor(rng.standard_normal((c, 4, 4)).transpose(1, 2, 0)),
+                 params, "da", heads, k)
     want = np.broadcast_to(params["da/out/b"], (2, dim))  # zero mixed features
     assert np.abs(got.data - want).max() < 1e-12
 
@@ -133,8 +137,7 @@ def test_deform_attn_sample_point_permutation_invariance(rng):
     q = rng.standard_normal((3, dim))
     refs = rng.uniform(0.2, 0.8, (3, 2))
     vmap = rng.standard_normal((c, 5, 5))
-    base = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params,
-                                  "da", heads, k)
+    base = attend(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), params, "da", heads, k)
     perm = rng.permutation(k)
     p2 = dict(params)
     ow = params["da/offset/w"].reshape(dim, k, 2)
@@ -143,8 +146,7 @@ def test_deform_attn_sample_point_permutation_invariance(rng):
     p2["da/offset/b"] = ob[perm].reshape(-1)
     p2["da/logit/w"] = params["da/logit/w"][:, perm]
     p2["da/logit/b"] = params["da/logit/b"][perm]
-    permuted = E.deformable_attention(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), p2,
-                                      "da", heads, k)
+    permuted = attend(T.Tensor(q), refs, T.Tensor(vmap.transpose(1, 2, 0)), p2, "da", heads, k)
     assert np.allclose(base.data, permuted.data, atol=1e-12)
 
 
@@ -194,7 +196,7 @@ def test_deform_attn_matches_sample_weight_sum_oracle(rng):
         tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
         return out.data, {name: t.grad for name, t in leaves.items()}
 
-    got, got_grads = run(E.deformable_attention)
+    got, got_grads = run(attend)
     want, want_grads = run(sample_weight_sum_oracle)
     assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert set(got_grads) == set(arrays)
@@ -215,8 +217,8 @@ def test_deform_attn_records_one_fused_sampling_op(rng, monkeypatch):
     params, arrays = _random_da_arrays(rng, n, dim, c, heads, k)
     tape = T.Tape()
     leaves = {name: tape.leaf(a) for name, a in arrays.items()}
-    E.deformable_attention(leaves["q"], rng.uniform(0.2, 0.8, (n, 2)), leaves["vmap"],
-                           {p: leaves[p] for p in params}, "da", heads, k)
+    attend(leaves["q"], rng.uniform(0.2, 0.8, (n, 2)), leaves["vmap"],
+           {p: leaves[p] for p in params}, "da", heads, k)
     assert recorded.count("bilinear_sample") == 1
     assert "mul" not in recorded and "tsum" not in recorded
     assert "transpose" not in recorded
@@ -225,8 +227,8 @@ def test_deform_attn_records_one_fused_sampling_op(rng, monkeypatch):
 def test_deform_attn_head_divisibility():
     params = make_da_params(np.random.default_rng(0), 8, 4, 2, 2)
     with pytest.raises(ConfigError):
-        E.deformable_attention(T.Tensor(np.zeros((2, 9))), np.zeros((2, 2)),
-                               T.Tensor(np.zeros((3, 3, 4))), params, "da", 2, 2)
+        attend(T.Tensor(np.zeros((2, 9))), np.zeros((2, 2)), T.Tensor(np.zeros((3, 3, 4))),
+               params, "da", 2, 2)
 
 
 # -- warping --
@@ -295,8 +297,8 @@ def two_call_tsa_oracle(bev, query_pos, history, motion, spec, params, prefix, n
     refs = spec.normalize(spec.cell_centers())
     q = T.add(bev, query_pos)
     warped = E.warp_history(history, motion, spec)
-    outs = [E.deformable_attention(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params,
-                                   prefix, n_heads, n_points) for rows in (bev, warped)]
+    outs = [attend(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params, prefix, n_heads,
+                   n_points) for rows in (bev, warped)]
     return T.add(bev, T.mul(T.add(*outs), T.Tensor(0.5)))
 
 
@@ -377,7 +379,7 @@ def test_sca_hit_mask_matches_projection_oracle(rng):
     refs, hits = E.projected_references(spec, cams, zs)
     for ci, cam in enumerate(cams):
         for n, ((x, y), zz) in enumerate(itertools.product(spec.cell_centers(), zs)):
-            got = D.project((x, y, zz), cam)
+            got = project((x, y, zz), cam)
             assert hits[ci][n] == (got is not None)
             if got is not None:
                 u, v = got
@@ -443,8 +445,7 @@ def dense_sca_oracle(bev, query_pos, pv_features, cameras, spec, zs, params, pre
         mask = hits[cam_idx]
         if not mask.any():
             continue
-        out = E.deformable_attention(q_rep, refs[cam_idx], feat, params, prefix,
-                                     n_heads, n_points)
+        out = attend(q_rep, refs[cam_idx], feat, params, prefix, n_heads, n_points)
         out = T.mul(out, T.Tensor(mask[:, None].astype(np.float64)))
         total = out if total is None else T.add(total, out)
         counts += mask
@@ -501,6 +502,34 @@ def test_sca_hit_rows_match_dense_oracle(rig, rng):
             continue
         scale = max(np.abs(g).max(), 1e-300)
         assert np.abs(got_grads[name] - g).max() / scale < 1e-12, name
+
+
+@pytest.mark.parametrize("rig", [D.build_camera_rig, partial_rig])
+def test_sca_projects_offsets_and_weights_once(rig, rng, count_calls, monkeypatch):
+    """One SCA call makes one deformable-attention call, which projects the
+    offsets and logits once on the cell queries whatever the number of
+    cameras; every camera that sees a cell projects its own value map."""
+    spec = small_spec()
+    cams = rig()
+    params = make_da_params(rng, 8, 6, 2, 2, prefix="sca")
+    feats = [T.Tensor(rng.standard_normal((4, 6, 6))) for _ in cams]
+    emb = rng.standard_normal((spec.h * spec.w, 8))
+    projected = []
+    run_linear = E.run_linear
+
+    def spy(x, params, name):
+        projected.append(name)
+        return run_linear(x, params, name)
+
+    monkeypatch.setattr(E, "run_linear", spy)
+    counts = count_calls(E, "deformable_attention")
+    E.spatial_cross_attention(T.Tensor(emb), T.Tensor(np.zeros_like(emb)), feats, cams, spec,
+                              E.pillar_heights(4), params, "sca", 2, 2)
+    _, hits = E.projected_references(spec, cams, E.pillar_heights(4))
+    seen = sum(bool(m.any()) for m in hits)
+    assert counts["bev_encoder.deformable_attention"] == 1
+    assert projected.count("sca/offset") == projected.count("sca/logit") == 1
+    assert projected.count("sca/value") == projected.count("sca/out") == seen
 
 
 def test_projected_references_memo_tracks_rig_content():

@@ -477,6 +477,12 @@ def test_suite_table_structure(scenes):
     lines = table.splitlines()
     assert len(lines) == 5
     assert "sec/epoch" in lines[0]
-    for r in rows:
+    # the step-time medians trail the original four columns
+    assert lines[0].split() == ["preset", "epochs", "sec/epoch", "mAP", *TR.STEP_MS]
+    for r, line in zip(rows, lines[1:]):
         assert 0.0 <= r["map"] <= 1.0
         assert r["sec_per_epoch"] > 0
+        assert r["fwd_ms"] > 0 and r["bwd_ms"] > 0 and r["opt_ms"] > 0
+        assert r["wall_ms"] >= max(r["fwd_ms"], r["bwd_ms"], r["opt_ms"])
+        assert line.split()[:2] == [r["preset"], str(r["epochs"])]
+        assert [float(v) for v in line.split()[4:]] == [round(r[k], 1) for k in TR.STEP_MS]
