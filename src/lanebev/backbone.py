@@ -187,19 +187,19 @@ def run_backbone(x: Tensor, cfg: BackboneConfig, params) -> Tensor:
     return T.relu(h)
 
 
-def extract_features(images, cfg: BackboneConfig, params) -> list[Tensor]:
+def extract_features(images, cfg: BackboneConfig, params) -> Tensor:
     """Apply the shared backbone to the camera images of one frame.
 
     images: a sequence of per-view [C,H,W] arrays, or a stacked [V,C,H,W]
-    array.  Returns one channel-last [H',W',C'] feature map per view.
+    array.  Returns the views' feature maps as one channel-last
+    [V,H',W',C'] stack, in view order.
     """
     arrs = [np.asarray(im) for im in images]
     for i, a in enumerate(arrs):
         if tuple(a.shape) != tuple(cfg.input_shape):
             raise T.DimensionError(
                 f"view {i}: image shape {a.shape} does not match configured {cfg.input_shape}")
-    feats = T.transpose(run_backbone(Tensor(np.stack(arrs)), cfg, params), (0, 2, 3, 1))
-    return [feats[i] for i in range(len(arrs))]
+    return T.transpose(run_backbone(Tensor(np.stack(arrs)), cfg, params), (0, 2, 3, 1))
 
 
 def count_macs(cfg: BackboneConfig) -> int:

@@ -125,19 +125,19 @@ def run_ffn(x, params, prefix):
 # deformable attention
 
 
-def deformable_attention(queries: Tensor, views, params, prefix, n_heads: int,
-                         n_points: int) -> list[Tensor]:
+def deformable_attention(queries: Tensor, value_maps: Tensor, views, params, prefix,
+                         n_heads: int, n_points: int) -> Tensor:
     """Per query and head: K learned offsets and softmax weights around a
-    reference point, projected once from the [N, D] queries.  Each view
-    ``(value_map, query_index, ref_points)`` takes the offsets and weights
-    of the queries ``query_index``, bilinear-samples its own projected
-    channel-last map [H, W, C] around its [rows, 2] reference points and
-    mixes through the output projection into its own [rows, D] output.
-    TSA and the decoder pass one view, SCA one per camera.  Differentiable
-    in queries, value maps and (via the offsets) the sampling locations.
+    reference point, projected once from the [N, D] queries; the values are
+    projected once from the channel-last map stack [V, H, W, C].  Each view
+    ``(map_index, query_index, ref_points)`` samples map ``map_index`` around
+    its [rows, 2] reference points with the offsets and weights of the
+    queries ``query_index``.  One output projection mixes the views' samples,
+    in view order, into the returned [sum of rows, D].  Differentiable in
+    queries, value maps and (via the offsets) the sampling locations.
 
     As in Deformable DETR, each view samples every head in one grouped
-    ``bilinear_sample`` call over an [H, W, heads, d_head] view of the
+    ``bilinear_sample`` call over an [H, W, heads, d_head] view of its
     projected map, points query-major as [rows*heads*K, 2] and the
     attention weights folded into the kernel as [rows*heads, K].
     """
@@ -148,19 +148,19 @@ def deformable_attention(queries: Tensor, views, params, prefix, n_heads: int,
     offsets = T.reshape(run_linear(queries, params, prefix + "/offset"), (n, n_heads, n_points, 2))
     logits = T.reshape(run_linear(queries, params, prefix + "/logit"), (n, n_heads, n_points))
     weights = T.softmax(logits, axis=-1)
+    v, h, w, c = value_maps.shape
+    value = run_linear(T.reshape(value_maps, (v * h * w, c)), params, prefix + "/value")
+    value = T.reshape(value, (v, h, w, n_heads, d_head))
 
-    outs = []
-    for value_map, query_index, ref_points in views:
-        h, w, c = value_map.shape
-        value = run_linear(T.reshape(value_map, (h * w, c)), params, prefix + "/value")  # [H*W, D]
-        value_maps = T.reshape(value, (h, w, n_heads, d_head))
+    weighted = []
+    for map_index, query_index, ref_points in views:
         rows = ref_points.shape[0]
         refs = T.reshape(T._as_tensor(ref_points), (rows, 1, 1, 2))
         pts = T.reshape(T.add(refs, offsets[query_index]), (rows * n_heads * n_points, 2))
         attn = T.reshape(weights[query_index], (rows * n_heads, n_points))
-        weighted = T.bilinear_sample(value_maps, pts, attn)  # [rows*heads, d_head]
-        outs.append(run_linear(T.reshape(weighted, (rows, dim)), params, prefix + "/out"))
-    return outs
+        sampled = T.bilinear_sample(value[map_index], pts, attn)  # [rows*heads, d_head]
+        weighted.append(T.reshape(sampled, (rows, dim)))
+    return run_linear(T.concat(weighted), params, prefix + "/out")
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +195,8 @@ def temporal_self_attention(bev: Tensor, query_pos: Tensor, history: Tensor | No
         # both attentions share queries, offsets and weights and are affine in
         # the map, so their mean is one attention over the mean of the maps
         rows = T.mul(T.add(rows, warp_history(history, motion, spec)), T.Tensor(0.5))
-    view = (T.reshape(rows, (spec.h, spec.w, -1)), slice(None), refs)
-    out, = deformable_attention(q, [view], params, prefix, n_heads, n_points)
+    out = deformable_attention(q, T.reshape(rows, (1, spec.h, spec.w, -1)),
+                               [(0, slice(None), refs)], params, prefix, n_heads, n_points)
     return T.add(bev, out)
 
 
@@ -251,22 +251,22 @@ def projected_references(spec: BEVGridSpec, cameras: list[Camera], zs: np.ndarra
     return _REFERENCE_MEMO[key]
 
 
-def spatial_cross_attention(bev: Tensor, query_pos: Tensor, pv_features, cameras,
+def spatial_cross_attention(bev: Tensor, query_pos: Tensor, pv_features: Tensor, cameras,
                             spec: BEVGridSpec, zs: np.ndarray, params, prefix,
                             n_heads: int, n_points: int) -> Tensor:
-    """Lift camera features into the BEV grid at projected pillar points.
+    """Lift the [V, H', W', C'] camera features into the BEV grid at pillar points.
 
     Each cell raises Z reference heights; every camera that sees a point
     ("hit") contributes a deformable-attention sample around the projected
-    pixel.  Each camera attends from its hit (cell, height) rows only, with
-    the offsets and weights of row i's cell i // Z, and its outputs are
-    scattered back into the [H*W*Z, D] buffer, so misses cost nothing
-    forward or backward.  Contributions are averaged over hit (view,
-    height) pairs; cells without any hit pass through unchanged via the
-    residual connection.
+    pixel.  One deformable-attention call has a view per camera that sees a
+    point, over its hit (cell, height) rows with the offsets and weights of
+    row i's cell i // Z; one scatter adds the outputs into the [H*W*Z, D]
+    slots in camera order, so misses cost nothing forward or backward.
+    Contributions are averaged over hit (view, height) pairs; cells without
+    any hit pass through unchanged via the residual connection.
     """
-    if len(pv_features) != len(cameras):
-        raise T.DimensionError(f"{len(pv_features)} feature maps vs {len(cameras)} cameras")
+    if pv_features.shape[0] != len(cameras):
+        raise T.DimensionError(f"{pv_features.shape[0]} feature maps vs {len(cameras)} cameras")
     n = spec.h * spec.w
     z = len(zs)
     refs, hits = projected_references(spec, cameras, zs)
@@ -275,12 +275,10 @@ def spatial_cross_attention(bev: Tensor, query_pos: Tensor, pv_features, cameras
         raise ConfigError("degenerate rig: no camera sees any BEV cell")
 
     rows = [np.nonzero(hits[i])[0] for i in seen]
-    views = [(pv_features[i], r // z, refs[i][r]) for i, r in zip(seen, rows)]
-    outs = deformable_attention(T.add(bev, query_pos), views, params, prefix, n_heads, n_points)
-    total = None
-    for r, out in zip(rows, outs):
-        out = T.scatter_rows(out, r, n * z)
-        total = out if total is None else T.add(total, out)
+    views = [(i, r // z, refs[i][r]) for i, r in zip(seen, rows)]
+    out = deformable_attention(T.add(bev, query_pos), pv_features, views, params, prefix,
+                               n_heads, n_points)
+    total = T.scatter_rows(out, np.concatenate(rows), n * z)
     per_cell = np.sum(hits, axis=0).reshape(n, z).sum(axis=1)
     denom = np.maximum(per_cell, 1.0)
     summed = T.tsum(T.reshape(total, (n, z, -1)), axis=1)
@@ -309,11 +307,11 @@ def init_encoder_params(params, cfg, value_channels, rng):
             init_layer_norm(params, f"{p}/ln{j}", cfg.embed_dim)
 
 
-def encode(pv_features, cameras, history: Tensor | None, motion: EgoMotion,
+def encode(pv_features: Tensor, cameras, history: Tensor | None, motion: EgoMotion,
            params, cfg) -> Tensor:
-    """cfg.n_encoder_layers x [temporal self-attn -> spatial cross-attn -> FFN],
-    each residual + layer-normed.  Returns the [bev_h*bev_w, D] grid, which
-    doubles as the next timestep's history."""
+    """cfg.n_encoder_layers x [temporal self-attn -> spatial cross-attn -> FFN]
+    over the [V, H', W', C'] camera features, each residual + layer-normed.
+    Returns the [bev_h*bev_w, D] grid, which doubles as the next timestep's history."""
     spec = BEVGridSpec(cfg.bev_h, cfg.bev_w, cfg.bev_x_min, cfg.bev_x_max,
                        cfg.bev_y_min, cfg.bev_y_max)
     pos = _p(params, "bev/pos")

@@ -79,14 +79,14 @@ def initial_queries(params) -> LaneQuerySet:
 
 def decoder_layer(q: LaneQuerySet, bev_map: Tensor, params, prefix, n_heads: int,
                   n_points: int) -> LaneQuerySet:
-    """Self-attention -> deformable cross-attention into the BEV map
-    [bev_h, bev_w, D] at each query's reference point -> FFN, all residual +
-    layer-normed; finally the refinement head shifts the reference logits
-    (zero-initialized, so an untrained layer leaves them unchanged)."""
+    """Self-attention -> deformable cross-attention into the one-map BEV
+    stack [1, bev_h, bev_w, D] at each query's reference point -> FFN, all
+    residual + layer-normed; finally the refinement head shifts the reference
+    logits (zero-initialized, so an untrained layer leaves them unchanged)."""
     x = run_layer_norm(T.add(q.emb, self_attention(q.emb, params, prefix + "/sa")),
                        params, prefix + "/ln0")
-    cross, = deformable_attention(x, [(bev_map, slice(None), q.reference_points())], params,
-                                  prefix + "/ca", n_heads, n_points)
+    cross = deformable_attention(x, bev_map, [(0, slice(None), q.reference_points())], params,
+                                 prefix + "/ca", n_heads, n_points)
     x = run_layer_norm(T.add(x, cross), params, prefix + "/ln1")
     x = run_layer_norm(T.add(x, run_ffn(x, params, prefix + "/ffn")), params, prefix + "/ln2")
     delta = run_linear(T.relu(run_linear(x, params, prefix + "/refine/fc0")),
@@ -95,10 +95,10 @@ def decoder_layer(q: LaneQuerySet, bev_map: Tensor, params, prefix, n_heads: int
 
 
 def decode(q0: LaneQuerySet, bev: Tensor, params, cfg) -> list[LaneQuerySet]:
-    """Runs cfg.n_decoder_layers over the [bev_h*bev_w, D] grid and returns
-    every layer's query set so each can be supervised (deep-supervision
-    convention); the last one feeds the prediction head."""
-    bev_map = T.reshape(bev, (cfg.bev_h, cfg.bev_w, -1))
+    """Runs cfg.n_decoder_layers over the grid, viewed once as a [1, bev_h,
+    bev_w, D] map stack, and returns every layer's query set so each can be
+    supervised (deep-supervision convention); the last one feeds the head."""
+    bev_map = T.reshape(bev, (1, cfg.bev_h, cfg.bev_w, -1))
     out = []
     q = q0
     for i in range(cfg.n_decoder_layers):

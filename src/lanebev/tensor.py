@@ -301,22 +301,25 @@ def stack(tensors, axis=0) -> Tensor:
     return out
 
 
+def _index_add(shape, idx, values):
+    """Zeros of shape plus values added where idx selects, repeats in index order."""
+    size = int(np.prod(shape))
+    flat = np.arange(size).reshape(shape)[idx].ravel()
+    return np.bincount(flat, values.ravel(), size).astype(values.dtype, copy=False).reshape(shape)
+
+
 def getitem(x: Tensor, idx) -> Tensor:
     def backward():
-        flat = np.arange(x.data.size).reshape(x.data.shape)[idx].ravel()
-        g = np.bincount(flat, out.grad.ravel(), minlength=x.data.size)
-        _accumulate(x, g.reshape(x.data.shape))
+        _accumulate(x, _index_add(x.data.shape, idx, out.grad))
     out = _op(x.data[idx], (x,), backward)
     return out
 
 
 def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
-    """[n, ...] zeros with x's rows placed at the distinct indices idx."""
-    data = np.zeros((n,) + x.data.shape[1:], dtype=x.data.dtype)
-    data[idx] = x.data
+    """[n, ...] zeros plus x's rows added at the indices idx, repeats in index order."""
     def backward():
         _accumulate(x, out.grad[idx])
-    out = _op(data, (x,), backward)
+    out = _op(_index_add((n,) + x.data.shape[1:], idx, x.data), (x,), backward)
     return out
 
 
@@ -467,8 +470,7 @@ def max_pool2d(x: Tensor, k: int = 2, stride: int | None = None, padding: int = 
         g = out.grad[None] if squeeze else out.grad
         ki, kj = np.divmod(arg, k)
         nn, cc, ii, jj = np.indices(arg.shape)
-        flat = np.ravel_multi_index((nn, cc, ii * stride + ki, jj * stride + kj), xd.shape)
-        gx = np.bincount(flat.ravel(), g.ravel(), minlength=xd.size).reshape(xd.shape)
+        gx = _index_add(xd.shape, (nn, cc, ii * stride + ki, jj * stride + kj), g)
         if padding:
             gx = gx[:, :, padding:-padding, padding:-padding]
         _accumulate(x, gx[0] if squeeze else gx)

@@ -203,8 +203,8 @@ def test_criterion_3_oracle_equivalence():
     q = rng.standard_normal((4, dim))
     refs = rng.uniform(0.15, 0.85, (4, 2))
     vmap = rng.standard_normal((c, 5, 5))
-    view = (T.Tensor(vmap.transpose(1, 2, 0)), slice(None), refs)
-    got = deformable_attention(T.Tensor(q), [view], params, "da", heads, k)[0].data
+    got = deformable_attention(T.Tensor(q), T.Tensor(vmap.transpose(1, 2, 0)[None]),
+                               [(0, slice(None), refs)], params, "da", heads, k).data
     from test_bev_encoder import dense_deform_attn_oracle
     want = dense_deform_attn_oracle(q, refs, vmap, params, "da", heads, k)
     da_err = np.abs(got - want).max() / np.abs(want).max()
@@ -271,7 +271,7 @@ def test_criterion_4_architecture_shapes(count_calls):
         init_decoder_params(params, cfg, rng)
         counts.clear()
         cams = D.build_camera_rig()
-        feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))] * 7
+        feats = T.Tensor(np.stack([rng.standard_normal((6, 4, 6)).transpose(1, 2, 0)] * 7))
         bev = encode(feats, cams, None, EgoMotion(), params, cfg)
         layers = decode(initial_queries(params), bev, params, cfg)
         counts_ok = (counts["bev_encoder.temporal_self_attention"] == enc_n

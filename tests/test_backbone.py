@@ -44,10 +44,8 @@ def test_toy_feature_shape(rng):
     params = B.init_backbone_params(TOY, rng)
     frame = [rng.uniform(0, 1, (3, 64, 96)) for _ in range(7)]
     feats = B.extract_features(frame, TOY, params)
-    assert len(feats) == 7
     cf = B.feature_channels(TOY)
-    for f in feats:
-        assert f.shape == (4, 6, cf)
+    assert feats.shape == (7, 4, 6, cf)
     assert feature_shape(TOY) == (cf, 4, 6)
 
 

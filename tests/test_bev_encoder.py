@@ -29,9 +29,8 @@ def make_da_params(rng, dim=8, c=5, heads=2, k=3, prefix="da"):
 
 def attend(queries, ref_points, value_map, params, prefix, heads, k):
     """Deformable attention of every query over one map."""
-    out, = E.deformable_attention(queries, [(value_map, slice(None), ref_points)], params, prefix,
-                                  heads, k)
-    return out
+    return E.deformable_attention(queries, T.reshape(value_map, (1, *value_map.shape)),
+                                  [(0, slice(None), ref_points)], params, prefix, heads, k)
 
 
 def dense_deform_attn_oracle(q, refs, vmap, params, prefix, heads, k):
@@ -394,7 +393,7 @@ def test_sca_zero_hit_cells_pass_through(rng):
     cams = D.build_camera_rig()
     # narrow front camera only: cells behind the ego get no hits
     cam = cams[6]
-    feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))]
+    feats = T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0)[None])
     emb = rng.standard_normal((spec.h * spec.w, dim))
     out = E.spatial_cross_attention(T.Tensor(emb), T.Tensor(np.zeros_like(emb)), feats, [cam],
                                     spec, E.pillar_heights(4), params, "sca", 2, 2)
@@ -417,7 +416,7 @@ def test_sca_degenerate_rig(rng):
     sky_cam = D.Camera("up", 60.0, 60.0, 48.0, 32.0, r, -r @ pos, 96, 64)
     with pytest.raises(ConfigError, match="degenerate"):
         E.spatial_cross_attention(T.Tensor(np.zeros((12, 8))), T.Tensor(np.zeros((12, 8))),
-                                  [T.Tensor(np.zeros((4, 6, 6)))], [sky_cam], spec,
+                                  T.Tensor(np.zeros((1, 4, 6, 6))), [sky_cam], spec,
                                   E.pillar_heights(4), params, "sca", 2, 2)
 
 
@@ -441,11 +440,10 @@ def dense_sca_oracle(bev, query_pos, pv_features, cameras, spec, zs, params, pre
     q_rep = q[np.repeat(np.arange(n), z)]                        # [N*Z, D]
     total = None
     counts = np.zeros(n * z)
-    for cam_idx, feat in enumerate(pv_features):
-        mask = hits[cam_idx]
+    for cam_idx, mask in enumerate(hits):
         if not mask.any():
             continue
-        out = attend(q_rep, refs[cam_idx], feat, params, prefix, n_heads, n_points)
+        out = attend(q_rep, refs[cam_idx], pv_features[cam_idx], params, prefix, n_heads, n_points)
         out = T.mul(out, T.Tensor(mask[:, None].astype(np.float64)))
         total = out if total is None else T.add(total, out)
         counts += mask
@@ -487,7 +485,7 @@ def test_sca_hit_rows_match_dense_oracle(rig, rng):
     def run(sca):
         tape = T.Tape()
         leaves = {name: tape.leaf(a) for name, a in arrays.items()}
-        feats = [leaves[f"feat{i}"] for i in range(len(cams))]
+        feats = T.stack([leaves[f"feat{i}"] for i in range(len(cams))])
         p = {name: leaves[name] for name in params}
         out = sca(leaves["emb"], leaves["pos"], feats, cams, spec, zs, p, "sca", heads, k)
         tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
@@ -507,12 +505,12 @@ def test_sca_hit_rows_match_dense_oracle(rig, rng):
 @pytest.mark.parametrize("rig", [D.build_camera_rig, partial_rig])
 def test_sca_projects_offsets_and_weights_once(rig, rng, count_calls, monkeypatch):
     """One SCA call makes one deformable-attention call, which projects the
-    offsets and logits once on the cell queries whatever the number of
-    cameras; every camera that sees a cell projects its own value map."""
+    offsets, logits, camera values and outputs once each, whatever the
+    number of cameras."""
     spec = small_spec()
     cams = rig()
     params = make_da_params(rng, 8, 6, 2, 2, prefix="sca")
-    feats = [T.Tensor(rng.standard_normal((4, 6, 6))) for _ in cams]
+    feats = T.Tensor(np.stack([rng.standard_normal((4, 6, 6)) for _ in cams]))
     emb = rng.standard_normal((spec.h * spec.w, 8))
     projected = []
     run_linear = E.run_linear
@@ -525,11 +523,42 @@ def test_sca_projects_offsets_and_weights_once(rig, rng, count_calls, monkeypatc
     counts = count_calls(E, "deformable_attention")
     E.spatial_cross_attention(T.Tensor(emb), T.Tensor(np.zeros_like(emb)), feats, cams, spec,
                               E.pillar_heights(4), params, "sca", 2, 2)
-    _, hits = E.projected_references(spec, cams, E.pillar_heights(4))
-    seen = sum(bool(m.any()) for m in hits)
     assert counts["bev_encoder.deformable_attention"] == 1
     assert projected.count("sca/offset") == projected.count("sca/logit") == 1
-    assert projected.count("sca/value") == projected.count("sca/out") == seen
+    assert projected.count("sca/value") == projected.count("sca/out") == 1
+
+
+@pytest.mark.parametrize("rig", [D.build_camera_rig, partial_rig])
+def test_sca_scatters_once(rig, rng, monkeypatch):
+    """One SCA call adds every camera's outputs into the slots with one
+    recorded scatter_rows, whatever the number of cameras."""
+    spec = small_spec()
+    cams = rig()
+    params = make_da_params(rng, 8, 6, 2, 2, prefix="sca")
+    tape = T.Tape()
+    feats = tape.leaf(rng.standard_normal((len(cams), 4, 6, 6)))
+    emb = tape.leaf(rng.standard_normal((spec.h * spec.w, 8)))
+    recorded = []
+    record = T.Tape._record
+
+    def spy(self, backward_fn, out):
+        recorded.append(backward_fn.__qualname__.split(".")[0])
+        record(self, backward_fn, out)
+
+    monkeypatch.setattr(T.Tape, "_record", spy)
+    E.spatial_cross_attention(emb, T.Tensor(np.zeros(emb.shape)), feats, cams, spec,
+                              E.pillar_heights(4), params, "sca", 2, 2)
+    assert recorded.count("scatter_rows") == 1
+
+
+def test_sca_rejects_feature_stack_of_other_camera_count(rng):
+    spec = small_spec()
+    cams = D.build_camera_rig()
+    params = make_da_params(rng, 8, 6, 2, 2, prefix="sca")
+    feats = T.Tensor(rng.standard_normal((len(cams) - 1, 4, 6, 6)))
+    with pytest.raises(T.DimensionError, match="6 feature maps vs 7 cameras"):
+        E.spatial_cross_attention(T.Tensor(np.zeros((12, 8))), T.Tensor(np.zeros((12, 8))),
+                                  feats, cams, spec, E.pillar_heights(4), params, "sca", 2, 2)
 
 
 def test_projected_references_memo_tracks_rig_content():
@@ -567,7 +596,7 @@ def init_enc(cfg, rng, c_feat=6):
 
 def run_encode(cfg, params, rng, history=None):
     cams = D.build_camera_rig()
-    feats = [T.Tensor(rng.standard_normal((6, 4, 6)).transpose(1, 2, 0))] * 7
+    feats = T.Tensor(np.stack([rng.standard_normal((6, 4, 6)).transpose(1, 2, 0)] * 7))
     return E.encode(feats, cams, history, E.EgoMotion(), params, cfg)
 
 

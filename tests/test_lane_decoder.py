@@ -167,14 +167,14 @@ def test_decoder_layer_matches_composed_oracle(rng):
     """One layer equals the hand-composed sequence of its published pieces."""
     cfg = dec_cfg()
     params = make_decoder(cfg, rng)
-    bev_map = T.reshape(make_bev(cfg, rng), (cfg.bev_h, cfg.bev_w, -1))
+    bev_map = T.reshape(make_bev(cfg, rng), (1, cfg.bev_h, cfg.bev_w, -1))
     q0 = L.initial_queries(params)
     got = L.decoder_layer(q0, bev_map, params, "dec0", cfg.n_heads, cfg.n_sample_points)
 
     x = E.run_layer_norm(T.add(q0.emb, L.self_attention(q0.emb, params, "dec0/sa")),
                          params, "dec0/ln0")
-    cross, = E.deformable_attention(x, [(bev_map, slice(None), T.sigmoid(q0.ref_logits))],
-                                    params, "dec0/ca", cfg.n_heads, cfg.n_sample_points)
+    cross = E.deformable_attention(x, bev_map, [(0, slice(None), T.sigmoid(q0.ref_logits))],
+                                   params, "dec0/ca", cfg.n_heads, cfg.n_sample_points)
     x = E.run_layer_norm(T.add(x, cross), params, "dec0/ln1")
     x = E.run_layer_norm(T.add(x, E.run_ffn(x, params, "dec0/ffn")), params, "dec0/ln2")
     delta = E.run_linear(T.relu(E.run_linear(x, params, "dec0/refine/fc0")),

@@ -630,3 +630,16 @@ def test_scatter_rows_forward_and_gradcheck(rng):
     w = rng.standard_normal((6, 2))
     check_gradients(lambda a: T.tsum(T.mul(T.mul(y := T.scatter_rows(a, idx, 6), y),
                                            T.Tensor(w))), [x])
+
+    # repeated indices add their rows, in index order
+    idx = np.array([4, 1, 4, 0, 4, 1, 4])
+    x = _spread(rng, (len(idx), 3))
+    want = np.zeros((6, 3))
+    for i, row in zip(idx, x):
+        for j, v in enumerate(row):
+            want[i, j] += v
+    assert np.array_equal(T.scatter_rows(T.Tensor(x), idx, 6).data, want)
+    x = rng.standard_normal((len(idx), 3))
+    w = rng.standard_normal((6, 3))
+    check_gradients(lambda a: T.tsum(T.mul(T.mul(y := T.scatter_rows(a, idx, 6), y),
+                                           T.Tensor(w))), [x])
