@@ -1,6 +1,6 @@
-"""BEV lane encoder: temporal self-attention over the ego-motion-aligned
-history grid, then spatial cross-attention lifting multi-camera features
-into the BEV plane.  Both are built on one deformable-attention kernel.
+"""BEV lane encoder: temporal self-attention over the history grid, aligned to
+the current frame once per frame, then spatial cross-attention lifting
+multi-camera features into the BEV plane.  Both use one deformable-attention kernel.
 
 Parameter tensors live in a flat dict keyed by slash-separated names; every
 function here takes that dict plus a name prefix, so layer stacking is just
@@ -178,10 +178,10 @@ def warp_history(history_emb: Tensor, motion: EgoMotion, spec: BEVGridSpec) -> T
 
 
 def temporal_self_attention(bev: Tensor, query_pos: Tensor, history: Tensor | None,
-                            motion: EgoMotion, spec: BEVGridSpec, params, prefix,
-                            n_heads: int, n_points: int) -> Tensor:
-    """Deformable attention of the current grid [H*W, D] over (current, warped
-    history).
+                            spec: BEVGridSpec, params, prefix, n_heads: int,
+                            n_points: int) -> Tensor:
+    """Deformable attention of the current grid [H*W, D] over (current, history),
+    ``history`` being the previous grid already aligned by ``warp_history``.
 
     With no history (sequence start) the grid attends to itself only.
     Residual connection applied; normalization is the caller's concern.
@@ -189,13 +189,10 @@ def temporal_self_attention(bev: Tensor, query_pos: Tensor, history: Tensor | No
     if history is not None and history.shape != bev.shape:
         raise T.DimensionError(f"history grid {history.shape} != current grid {bev.shape}")
     refs = spec.normalize(spec.cell_centers())
-    q = T.add(bev, query_pos)
-    rows = bev
-    if history is not None:
-        # both attentions share queries, offsets and weights and are affine in
-        # the map, so their mean is one attention over the mean of the maps
-        rows = T.mul(T.add(rows, warp_history(history, motion, spec)), T.Tensor(0.5))
-    out = deformable_attention(q, T.reshape(rows, (1, spec.h, spec.w, -1)),
+    # (current, history) attentions share queries, offsets and weights and are
+    # affine in the map, so their mean is one attention over the mean of the maps
+    rows = bev if history is None else T.mul(T.add(bev, history), T.Tensor(0.5))
+    out = deformable_attention(T.add(bev, query_pos), T.reshape(rows, (1, spec.h, spec.w, -1)),
                                [(0, slice(None), refs)], params, prefix, n_heads, n_points)
     return T.add(bev, out)
 
@@ -310,16 +307,21 @@ def init_encoder_params(params, cfg, value_channels, rng):
 def encode(pv_features: Tensor, cameras, history: Tensor | None, motion: EgoMotion,
            params, cfg) -> Tensor:
     """cfg.n_encoder_layers x [temporal self-attn -> spatial cross-attn -> FFN]
-    over the [V, H', W', C'] camera features, each residual + layer-normed.
-    Returns the [bev_h*bev_w, D] grid, which doubles as the next timestep's history."""
+    over the [V, H', W', C'] camera features, each residual + layer-normed; the
+    history, if any, is aligned by ``motion`` once for every layer.  Returns the
+    [bev_h*bev_w, D] grid, which doubles as the next timestep's history."""
     spec = BEVGridSpec(cfg.bev_h, cfg.bev_w, cfg.bev_x_min, cfg.bev_x_max,
                        cfg.bev_y_min, cfg.bev_y_max)
     pos = _p(params, "bev/pos")
     x = _p(params, "bev/query")
+    if history is not None:
+        if history.shape != x.shape:
+            raise T.DimensionError(f"history grid {history.shape} != current grid {x.shape}")
+        history = warp_history(history, motion, spec)
     zs = pillar_heights(cfg.n_pillar_heights)
     for i in range(cfg.n_encoder_layers):
         p = f"enc{i}"
-        x = temporal_self_attention(x, pos, history, motion, spec, params, p + "/tsa",
+        x = temporal_self_attention(x, pos, history, spec, params, p + "/tsa",
                                     cfg.n_heads, cfg.n_sample_points)
         x = run_layer_norm(x, params, p + "/ln0")
         x = spatial_cross_attention(x, pos, pv_features, cameras, spec, zs, params, p + "/sca",

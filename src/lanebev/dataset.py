@@ -44,6 +44,10 @@ FORMAT_VERSION = 1
 CAMERA_ORDER = ("front", "front-left", "front-right", "back-left", "back-right",
                 "back", "front-center-narrow")
 SCENARIO_KINDS = ("straight", "curve", "intersection")
+# generated scenes: image size, lanes per road, the groundtruth's metric (x, y)
+# extent (ego frame) and the margin that keeps boundaries inside it
+IMAGE_WIDTH, IMAGE_HEIGHT, MIN_LANES, MAX_LANES = 96, 64, 2, 6
+X_MIN, X_MAX, Y_MIN, Y_MAX, EXTENT_MARGIN = -24.0, 24.0, -12.0, 12.0, 2.0
 
 
 def quant9(x: float) -> float:
@@ -104,7 +108,7 @@ def _camera_from_pose(name, fx, fy, cx, cy, position, yaw, pitch, width, height)
                   quant9_arr(r), np.array([quant9(v) for v in t]), width, height)
 
 
-def build_camera_rig(width: int = 96, height: int = 64) -> list[Camera]:
+def build_camera_rig(width: int = IMAGE_WIDTH, height: int = IMAGE_HEIGHT) -> list[Camera]:
     """Seven cameras covering a full 360 degrees around the ego vehicle."""
     cx, cy = width / 2.0, height / 2.0
     fx_wide, fy_wide = width * 0.27, height * 0.25
@@ -159,16 +163,7 @@ class Scene:
 @dataclass(frozen=True)
 class GenParams:
     frames: int = 4
-    image_width: int = 96
-    image_height: int = 64
     n_points: int = 10                      # P, points per gt polyline
-    x_min: float = -24.0
-    x_max: float = 24.0
-    y_min: float = -12.0
-    y_max: float = 12.0
-    extent_margin: float = 2.0              # keeps boundaries inside the extent
-    min_lanes: int = 2
-    max_lanes: int = 6
 
 
 # ---------------------------------------------------------------------------
@@ -179,8 +174,8 @@ def _lane_offsets(n_lanes, width):
     return (np.arange(n_lanes) - (n_lanes - 1) / 2.0) * width
 
 
-def _straight_world(rng, p: GenParams):
-    n_lanes = int(rng.integers(p.min_lanes, p.max_lanes + 1))
+def _straight_world(rng):
+    n_lanes = int(rng.integers(MIN_LANES, MAX_LANES + 1))
     width = float(rng.uniform(3.0, 4.0))
     xs = np.linspace(-60.0, 140.0, 101)
     lanes = [{"centerline": np.stack([xs, np.full_like(xs, off)], axis=1),
@@ -190,8 +185,8 @@ def _straight_world(rng, p: GenParams):
     return lanes, [], lanes[ego_lane]["centerline"]
 
 
-def _curve_world(rng, p: GenParams):
-    n_lanes = int(rng.integers(p.min_lanes, p.max_lanes + 1))
+def _curve_world(rng):
+    n_lanes = int(rng.integers(MIN_LANES, MAX_LANES + 1))
     width = float(rng.uniform(3.0, 4.0))
     radius = float(rng.uniform(40.0, 100.0)) * (1 if rng.random() < 0.5 else -1)
     span = 160.0 / abs(radius)
@@ -207,13 +202,13 @@ def _curve_world(rng, p: GenParams):
     return lanes, [], lanes[ego_lane]["centerline"]
 
 
-def _intersection_world(rng, p: GenParams, speed):
-    lanes, _, ego_path = _straight_world(rng, p)
+def _intersection_world(rng, frames, speed):
+    lanes, _, ego_path = _straight_world(rng)
     n_lanes, width = len(lanes), lanes[0]["width"]
 
     # crossing road placed so its crosswalk stays inside the BEV extent for
     # the whole sequence (ego approaches but never reaches it)
-    x_cross = speed * (p.frames - 1) + float(rng.uniform(4.0, 8.0))
+    x_cross = speed * (frames - 1) + float(rng.uniform(4.0, 8.0))
     n_cross = int(rng.integers(2, 5))
     cross_width = float(rng.uniform(3.0, 4.0))
     ys = np.linspace(-50.0, 50.0, 51)
@@ -258,17 +253,17 @@ def _ego_poses(ego_path, speed, n_frames, straight):
     return poses
 
 
-def _gt_for_frame(lanes, crosswalks, pose, p: GenParams):
-    m = p.extent_margin
+def _gt_for_frame(lanes, crosswalks, pose, n_points):
+    m = EXTENT_MARGIN
     segs = []
     for item in lanes + crosswalks:
         ego_poly = _world_to_ego(densify_polyline(item["centerline"], 1.0), pose)
-        run = longest_run_inside(ego_poly, p.x_min + m, p.x_max - m, p.y_min + m, p.y_max - m)
+        run = longest_run_inside(ego_poly, X_MIN + m, X_MAX - m, Y_MIN + m, Y_MAX - m)
         if run is None:
             continue
         if arclength(run)[-1] < (3.0 if item["class_id"] == CLASS_LANE else 1.5):
             continue
-        center = resample_polyline(run, p.n_points)
+        center = resample_polyline(run, n_points)
         normals = polyline_normals(center)
         half = item["width"] / 2.0
         left = center + normals * half
@@ -383,21 +378,21 @@ def generate_scene(seed: int, scenario_kind: str, params: GenParams | None = Non
     rng = np.random.default_rng(seed)
     if scenario_kind == "intersection":
         speed = float(rng.uniform(3.0, 4.5))
-        lanes, crosswalks, ego_path = _intersection_world(rng, p, speed)
+        lanes, crosswalks, ego_path = _intersection_world(rng, p.frames, speed)
     else:
         speed = float(rng.uniform(3.0, 6.0))
         if scenario_kind == "straight":
-            lanes, crosswalks, ego_path = _straight_world(rng, p)
+            lanes, crosswalks, ego_path = _straight_world(rng)
         else:
-            lanes, crosswalks, ego_path = _curve_world(rng, p)
+            lanes, crosswalks, ego_path = _curve_world(rng)
 
     poses = _ego_poses(ego_path, speed, p.frames, straight=scenario_kind == "straight")
-    cams = build_camera_rig(p.image_width, p.image_height)
+    cams = build_camera_rig()
     frames, gt = [], []
     for k, pose in enumerate(poses):
         images = _render_frame(cams, lanes, crosswalks, pose)
         frames.append(MultiViewFrame(images, cams, pose, k))
-        gt.append(_gt_for_frame(lanes, crosswalks, pose, p))
+        gt.append(_gt_for_frame(lanes, crosswalks, pose, p.n_points))
     return Scene(f"scene_{seed:08d}", frames, gt, scenario_kind, seed)
 
 

@@ -68,7 +68,7 @@ def _unit_left_normals(centerline: Tensor) -> Tensor:
     length = T.sqrt(T.add(T.tsum(T.mul(tangent, tangent), axis=2, keepdims=True),
                           T.Tensor(1e-12)))
     unit = T.div(tangent, length)
-    return T.concat([T.mul(unit[:, :, 1:2], T.Tensor(-1.0)), unit[:, :, 0:1]], axis=2)
+    return T.mul(unit[:, :, ::-1], T.Tensor(np.array([-1.0, 1.0])))
 
 
 def head_outputs(q: LaneQuerySet, params, cfg) -> HeadOutput:
@@ -82,11 +82,9 @@ def head_outputs(q: LaneQuerySet, params, cfg) -> HeadOutput:
     uv = T.sigmoid(T.add(T.reshape(q.ref_logits, (n_q, 1, 2)), offsets))
     # normalized (u, v) -> metric (x, y): u spans the lateral extent, v the
     # longitudinal one (same convention as the BEV grid)
-    xm = T.add(T.mul(uv[:, :, 1:2], T.Tensor(cfg.bev_x_max - cfg.bev_x_min)),
-               T.Tensor(cfg.bev_x_min))
-    ym = T.add(T.mul(uv[:, :, 0:1], T.Tensor(cfg.bev_y_max - cfg.bev_y_min)),
-               T.Tensor(cfg.bev_y_min))
-    centerline = T.concat([xm, ym], axis=2)
+    scale = np.array([cfg.bev_x_max - cfg.bev_x_min, cfg.bev_y_max - cfg.bev_y_min])
+    centerline = T.add(T.mul(uv[:, :, ::-1], T.Tensor(scale)),
+                       T.Tensor(np.array([cfg.bev_x_min, cfg.bev_y_min])))
 
     widths = T.reshape(run_linear(x, params, "head/bnd"), (n_q, p, 2))
     normals = _unit_left_normals(centerline)

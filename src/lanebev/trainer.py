@@ -246,6 +246,11 @@ def load_checkpoint(path):
                 if bad:
                     raise CheckpointError(f"Adam {label} section disagrees with the parameters "
                                           f"at {bad[0]!r}")
+            # a non-finite value or a negative second moment poisons the next step
+            for label, section in zip(("parameter", "Adam m", "Adam v"), sections):
+                for k, a in sorted(section.items()):
+                    if not np.isfinite(a).all() or label == "Adam v" and (a < 0).any():
+                        raise CheckpointError(f"{label} {k!r} is non-finite or negative")
     except CheckpointError as e:   # every message names the file, once
         raise CheckpointError(f"{path}: {e}") from None
     adam = {"step": adam_t, "m": sections[1], "v": sections[2]}

@@ -284,20 +284,19 @@ def test_tsa_history_equals_current_identity(rng):
     bev, hist, pos = T.Tensor(emb), T.Tensor(emb.copy()), T.Tensor(np.zeros_like(emb))
     # with identity motion the warped history must equal the current grid, so
     # attending over (current, history) averages two identical branches
-    solo = E.temporal_self_attention(bev, pos, None, E.EgoMotion(), spec, params, "tsa", 2, 2)
-    both = E.temporal_self_attention(bev, pos, hist, E.EgoMotion(), spec, params, "tsa", 2, 2)
+    solo = E.temporal_self_attention(bev, pos, None, spec, params, "tsa", 2, 2)
+    both = E.temporal_self_attention(bev, pos, E.warp_history(hist, E.EgoMotion(), spec), spec,
+                                     params, "tsa", 2, 2)
     assert np.allclose(solo.data, both.data, atol=1e-12)
 
 
-def two_call_tsa_oracle(bev, query_pos, history, motion, spec, params, prefix, n_heads,
-                        n_points):
+def two_call_tsa_oracle(bev, query_pos, history, spec, params, prefix, n_heads, n_points):
     """TSA as the mean of two attentions: one over the current grid, one over
-    the warped history."""
+    the aligned history."""
     refs = spec.normalize(spec.cell_centers())
     q = T.add(bev, query_pos)
-    warped = E.warp_history(history, motion, spec)
     outs = [attend(q, refs, T.reshape(rows, (spec.h, spec.w, -1)), params, prefix, n_heads,
-                   n_points) for rows in (bev, warped)]
+                   n_points) for rows in (bev, history)]
     return T.add(bev, T.mul(T.add(*outs), T.Tensor(0.5)))
 
 
@@ -317,7 +316,8 @@ def test_tsa_matches_two_call_oracle(rng):
         tape = T.Tape()
         leaves = {name: tape.leaf(a) for name, a in arrays.items()}
         p = {name: leaves[name] for name in params}
-        out = tsa(leaves["emb"], leaves["pos"], leaves["hist"], motion, spec, p, "tsa", heads, k)
+        aligned = E.warp_history(leaves["hist"], motion, spec)
+        out = tsa(leaves["emb"], leaves["pos"], aligned, spec, p, "tsa", heads, k)
         tape.backward(T.tsum(T.mul(out, T.Tensor(weight))))
         return out.data, {name: t.grad for name, t in leaves.items()}
 
@@ -335,8 +335,8 @@ def test_tsa_with_history_attends_once(rng, count_calls):
     hist = T.Tensor(rng.standard_normal((12, 8)))
     pos = T.Tensor(np.zeros((12, 8)))
     counts = count_calls(E, "deformable_attention")
-    E.temporal_self_attention(bev, pos, hist, E.EgoMotion(0.5, 0.2, 0.1), spec, params,
-                              "tsa", 2, 2)
+    E.temporal_self_attention(bev, pos, E.warp_history(hist, E.EgoMotion(0.5, 0.2, 0.1), spec),
+                              spec, params, "tsa", 2, 2)
     assert counts["bev_encoder.deformable_attention"] == 1
 
 
@@ -347,8 +347,8 @@ def test_tsa_grid_mismatch():
     bev = T.Tensor(np.zeros((12, 8)))
     hist = T.Tensor(np.zeros((10, 8)))     # a history grid of another size
     with pytest.raises(T.DimensionError):
-        E.temporal_self_attention(bev, T.Tensor(np.zeros((12, 8))), hist, E.EgoMotion(), spec,
-                                  params, "tsa", 2, 2)
+        E.temporal_self_attention(bev, T.Tensor(np.zeros((12, 8))), hist, spec, params, "tsa",
+                                  2, 2)
 
 
 # -- spatial cross-attention --
@@ -604,11 +604,28 @@ def run_encode(cfg, params, rng, history=None):
 def test_encode_layer_counts(n_layers, rng, count_calls):
     cfg = enc_cfg(n_layers)
     params = init_enc(cfg, rng)
-    counts = count_calls(E, "temporal_self_attention", "spatial_cross_attention", "run_ffn")
-    run_encode(cfg, params, np.random.default_rng(1))
+    counts = count_calls(E, "temporal_self_attention", "spatial_cross_attention", "run_ffn",
+                         "warp_history")
+    history = run_encode(cfg, params, np.random.default_rng(1))
     assert counts["bev_encoder.temporal_self_attention"] == n_layers
     assert counts["bev_encoder.spatial_cross_attention"] == n_layers
     assert counts["bev_encoder.run_ffn"] == n_layers
+    assert counts["bev_encoder.warp_history"] == 0
+    # with a history, every layer attends over the one grid aligned per encode
+    run_encode(cfg, params, np.random.default_rng(2), history.detach())
+    assert counts["bev_encoder.temporal_self_attention"] == 2 * n_layers
+    assert counts["bev_encoder.warp_history"] == 1
+
+
+def test_encode_rejects_history_of_another_shape(rng, count_calls):
+    """A history with the grid's element count but another shape, which the
+    warp's reshape would accept, is refused before any warp."""
+    cfg = enc_cfg(2)
+    params = init_enc(cfg, rng)
+    counts = count_calls(E, "warp_history")
+    with pytest.raises(T.DimensionError):
+        run_encode(cfg, params, rng, T.Tensor(np.zeros((48, 8))))   # grid is [24, 16]
+    assert counts["bev_encoder.warp_history"] == 0
 
 
 def test_encode_deterministic(rng):

@@ -49,6 +49,7 @@ def checkpoint(tmp_path_factory):
     assert data[211] == 48     # "a/w"'s payload length prefix: 6 float64s
     assert data[160:172] == bytes(12)   # the RNG blob's has_uint32 and uinteger
     assert data[344:347] == b"a/w"      # the name of "a/w"'s first Adam moment
+    assert data[500:503] == b"a/w"      # the name of "a/w"'s second Adam moment
     return path, data
 
 
@@ -57,6 +58,8 @@ def checkpoint(tmp_path_factory):
 @example(changes=[(168, 1)])   # the RNG's cached uint32 above 2**32
 @example(changes=[(160, 2)])   # the RNG's has_uint32 flag neither 0 nor 1
 @example(changes=[(346, ord("x"))])  # a first moment named "a/x", for no such parameter
+@example(changes=[(226, 0x7F), (225, 0xF8)])  # "a/w"'s first entry a NaN
+@example(changes=[(538, 0xBF)])  # "a/w"'s first second moment negative (-2**-15)
 def test_mutated_checkpoint_loads_or_raises_checkpoint_error(checkpoint, changes):
     path, data = checkpoint
     _mutated(path, data, changes)
@@ -68,6 +71,9 @@ def test_mutated_checkpoint_loads_or_raises_checkpoint_error(checkpoint, changes
     for moments in (ck["adam"]["m"], ck["adam"]["v"]):
         assert moments.keys() == params.keys()
         assert all(moments[k].shape == params[k].shape for k in params)
+    for section in (params, ck["adam"]["m"], ck["adam"]["v"]):
+        assert all(np.all(np.isfinite(a)) for a in section.values())
+    assert all(np.all(v >= 0) for v in ck["adam"]["v"].values())
 
 
 @pytest.fixture(scope="module")

@@ -113,8 +113,8 @@ def test_gt_inside_extent(scenes):
         for segs in sc.groundtruth:
             for seg in segs:
                 for pts in (seg.centerline, seg.left_boundary, seg.right_boundary):
-                    assert pts[:, 0].min() >= FAST.x_min and pts[:, 0].max() <= FAST.x_max
-                    assert pts[:, 1].min() >= FAST.y_min and pts[:, 1].max() <= FAST.y_max
+                    assert pts[:, 0].min() >= D.X_MIN and pts[:, 0].max() <= D.X_MAX
+                    assert pts[:, 1].min() >= D.Y_MIN and pts[:, 1].max() <= D.Y_MAX
 
 
 def test_roundtrip(tmp_path, scenes):
