@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
+from .dataset import IMAGE_HEIGHT, IMAGE_WIDTH
 from .tensor import Tensor
 
 
@@ -47,13 +48,14 @@ class BackboneConfig:
             raise ConfigError(f"need 4 positive stage block counts, got {self.stage_block_counts}")
 
 
+_TOY_INPUT = (1, IMAGE_HEIGHT, IMAGE_WIDTH)   # one grey camera image of a generated scene
 BACKBONE_PRESETS = {
     # full-resolution shapes used for FLOPs accounting only
     "resnet50-shape": BackboneConfig("bottleneck", (3, 4, 6, 3), 64, (1, 2, 4, 8), (3, 224, 224)),
     "resnet18-shape": BackboneConfig("basic", (2, 2, 2, 2), 64, (1, 2, 4, 8), (3, 224, 224)),
     # desk-scale training backbones
-    "toy": BackboneConfig("basic", (2, 2, 2, 2), 8, (1, 2, 2, 4), (1, 64, 96), stem_kind="toy"),
-    "toy-shallow": BackboneConfig("basic", (1, 1, 1, 1), 8, (1, 2, 2, 4), (1, 64, 96), stem_kind="toy"),
+    "toy": BackboneConfig("basic", (2, 2, 2, 2), 8, (1, 2, 2, 4), _TOY_INPUT, stem_kind="toy"),
+    "toy-shallow": BackboneConfig("basic", (1, 1, 1, 1), 8, (1, 2, 2, 4), _TOY_INPUT, stem_kind="toy"),
 }
 
 

@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from .backbone import BACKBONE_PRESETS
+from .dataset import IMAGE_HEIGHT, IMAGE_WIDTH, X_MAX, X_MIN, Y_MAX, Y_MIN
 
 
 class ConfigFileError(ValueError):
@@ -29,13 +30,13 @@ class ExperimentConfig:
     n_points: int = 10               # P, polyline points per lane
     bev_h: int = 25
     bev_w: int = 13
-    bev_x_min: float = -24.0
-    bev_x_max: float = 24.0
-    bev_y_min: float = -12.0
-    bev_y_max: float = 12.0
+    bev_x_min: float = X_MIN
+    bev_x_max: float = X_MAX
+    bev_y_min: float = Y_MIN
+    bev_y_max: float = Y_MAX
     image_channels: int = 1
-    image_height: int = 64
-    image_width: int = 96
+    image_height: int = IMAGE_HEIGHT
+    image_width: int = IMAGE_WIDTH
     # loss
     lambda_cls: float = 2.0
     lambda_pts: float = 5.0

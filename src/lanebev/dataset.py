@@ -13,12 +13,14 @@ Determinism: every float stored in a Scene is passed through the same
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 from .segments import (CLASS_CROSSWALK, CLASS_LANE, CLASS_NAMES, LaneSegment, arclength,
-                       densify_polyline, longest_run_inside, polyline_normals, resample_polyline)
+                       densify_polyline, fields_equal, longest_run_inside, polyline_normals,
+                       resample_polyline)
 
 
 class DatasetError(Exception):
@@ -81,13 +83,7 @@ class Camera:
     width: int
     height: int
 
-    def __eq__(self, other):
-        if not isinstance(other, Camera):
-            return NotImplemented
-        return (self.name == other.name
-                and (self.fx, self.fy, self.cx, self.cy) == (other.fx, other.fy, other.cx, other.cy)
-                and np.array_equal(self.r, other.r) and np.array_equal(self.t, other.t)
-                and (self.width, self.height) == (other.width, other.height))
+    __eq__ = fields_equal
 
 
 def _camera_from_pose(name, fx, fy, cx, cy, position, yaw, pitch, width, height):
@@ -136,12 +132,7 @@ class MultiViewFrame:
     ego_pose: tuple[float, float, float]   # (x, y, yaw) in world frame
     t_index: int
 
-    def __eq__(self, other):
-        if not isinstance(other, MultiViewFrame):
-            return NotImplemented
-        return (self.t_index == other.t_index and self.ego_pose == other.ego_pose
-                and self.cameras == other.cameras
-                and np.array_equal(self.images, other.images))
+    __eq__ = fields_equal
 
 
 @dataclass
@@ -152,12 +143,7 @@ class Scene:
     scenario_kind: str
     seed: int
 
-    def __eq__(self, other):
-        if not isinstance(other, Scene):
-            return NotImplemented
-        return (self.scene_id == other.scene_id and self.scenario_kind == other.scenario_kind
-                and self.seed == other.seed and self.frames == other.frames
-                and self.groundtruth == other.groundtruth)
+    __eq__ = fields_equal
 
 
 @dataclass(frozen=True)
@@ -278,9 +264,7 @@ def _gt_for_frame(lanes, crosswalks, pose, n_points):
 
 
 def _min_dist_to_segments(pts, seg_a, seg_b):
-    """Min distance from each 2D point to any segment, chunked over points."""
-    if len(seg_a) == 0:
-        return np.full(len(pts), np.inf)
+    """Min distance from each 2D point to any segment (there is at least one), chunked over points."""
     # float32 + squared distances: rendering only needs ~centimeter accuracy
     pts32 = pts.astype(np.float32)
     a32 = seg_a.astype(np.float32)
@@ -349,8 +333,6 @@ def _render_camera(cam: Camera, marking_polys, crosswalk_polys):
 def _render_frame(cams, lanes, crosswalks, pose):
     markings = []
     for item in lanes:
-        if item["class_id"] != CLASS_LANE:
-            continue
         center = _world_to_ego(densify_polyline(item["centerline"], 6.0), pose)
         keep = np.hypot(center[:, 0], center[:, 1]) < RENDER_FAR + 10
         if not keep.any():
@@ -412,25 +394,25 @@ def _write_pgm(path, img):
         f.write(data.tobytes())
 
 
-def _read_pgm(path):
+def _read(path):
+    """The file's bytes; InventoryError if it is missing."""
+    if not os.path.isfile(path):
+        raise InventoryError(f"{os.path.dirname(path)}: missing {os.path.basename(path)}")
     with open(path, "rb") as f:
-        raw = f.read()
+        return f.read()
+
+
+def _read_pgm(path):
+    raw = _read(path)
+    # magic, width, height, maxval; a field is empty where the file ends early
+    header = re.match(rb"\s*(\S*)\s*(\S*)\s*(\S*)\s*(\S*)", raw)
     try:
-        fields = []
-        pos = 0
-        while len(fields) < 4:
-            while pos < len(raw) and raw[pos:pos + 1].isspace():
-                pos += 1
-            start = pos
-            while pos < len(raw) and not raw[pos:pos + 1].isspace():
-                pos += 1
-            fields.append(raw[start:pos])
-        if fields[0] != b"P5":
-            raise ParseError(path, 0, f"not a binary PGM (magic {fields[0]!r})")
-        w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
+        if header[1] != b"P5":
+            raise ParseError(path, 0, f"not a binary PGM (magic {header[1]!r})")
+        w, h, maxval = int(header[2]), int(header[3]), int(header[4])
         if not 1 <= maxval <= 255:
-            raise ParseError(path, start, f"PGM maxval {maxval} outside 1..255")
-        pos += 1  # single whitespace after maxval
+            raise ParseError(path, header.start(4), f"PGM maxval {maxval} outside 1..255")
+        pos = header.end() + 1  # single whitespace after maxval
         pixels = np.frombuffer(raw[pos:pos + w * h], dtype=np.uint8)
         if pixels.size != w * h:
             raise ParseError(path, pos, f"truncated pixel data: {pixels.size} of {w * h} bytes")
@@ -483,18 +465,21 @@ def _frame_index(parts, meta):
     return fr
 
 
+def _lines(path):
+    """(byte offset, line) for each newline-separated line of the file, as bytes."""
+    offset = 0
+    for line in _read(path).split(b"\n"):
+        yield offset, line
+        offset += len(line) + 1
+
+
 def _parse_annotations(path):
     meta = None
     cams_raw = {}
     egos = {}
     segs = {}
-    offset = 0
-    with open(path, "rb") as f:
-        raw = f.read()
-    for line in raw.split(b"\n"):
+    for line_off, line in _lines(path):
         text = line.decode("utf-8", errors="replace").strip()
-        line_off = offset
-        offset += len(line) + 1
         if not text or text.startswith("#"):
             continue
         parts = text.split()
@@ -550,12 +535,7 @@ def _parse_annotations(path):
 def load_dataset(dir_path) -> list[Scene]:
     manifest = os.path.join(dir_path, "manifest.txt")
     scene_ids = []
-    offset = 0
-    with open(manifest, "rb") as f:
-        raw = f.read()
-    for line in raw.split(b"\n"):
-        line_off = offset
-        offset += len(line) + 1
+    for line_off, line in _lines(manifest):
         try:
             parts = line.decode().split()
             if not parts:
@@ -565,6 +545,8 @@ def load_dataset(dir_path) -> list[Scene]:
             if len(parts) != 2:
                 raise ValueError(f"{parts[0]} record needs one value, got {len(parts) - 1}")
             if parts[0] == "scene":
+                if parts[1] in scene_ids:
+                    raise ValueError(f"duplicate scene record {parts[1]!r}")
                 scene_ids.append(parts[1])
             elif int(parts[1]) != FORMAT_VERSION:
                 raise UnsupportedVersionError(
@@ -577,16 +559,10 @@ def load_dataset(dir_path) -> list[Scene]:
 def _load_scene(dir_path, scene_id) -> Scene:
     sdir = os.path.join(dir_path, scene_id)
     ann = os.path.join(sdir, "annotations.txt")
-    if not os.path.isfile(ann):
-        raise InventoryError(f"{sdir}: missing annotations.txt")
     meta, cams_raw, egos, segs = _parse_annotations(ann)
     kind, seed, n_frames = meta
     # image size from the first camera file
-    first = os.path.join(sdir, "frame_0_cam_0.pgm")
-    if not os.path.exists(first):
-        raise InventoryError(f"{sdir}: missing camera file frame_0_cam_0.pgm")
-    img0 = _read_pgm(first)
-    h, w = img0.shape
+    h, w = _read_pgm(os.path.join(sdir, "frame_0_cam_0.pgm")).shape
     cameras = []
     for k in sorted(cams_raw):
         fx, fy, cx, cy, *rest = cams_raw[k]
@@ -598,8 +574,6 @@ def _load_scene(dir_path, scene_id) -> Scene:
         images = np.empty((len(cameras), 1, h, w))
         for k in range(len(cameras)):
             path = os.path.join(sdir, f"frame_{t}_cam_{k}.pgm")
-            if not os.path.exists(path):
-                raise InventoryError(f"{sdir}: missing camera file frame_{t}_cam_{k}.pgm")
             img = _read_pgm(path)
             if img.shape != (h, w):
                 raise ParseError(path, 0, f"image is {img.shape[1]}x{img.shape[0]}, "

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -10,6 +10,19 @@ CLASS_BACKGROUND = 0
 CLASS_LANE = 1
 CLASS_CROSSWALK = 2
 CLASS_NAMES = {CLASS_BACKGROUND: "background", CLASS_LANE: "lane", CLASS_CROSSWALK: "crosswalk"}
+
+
+def fields_equal(self, other):
+    """``__eq__`` for a dataclass holding numpy arrays: every field takes part,
+    and an array compares with ``np.array_equal``."""
+    if not isinstance(other, type(self)):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        arrays = isinstance(a, np.ndarray) or isinstance(b, np.ndarray)
+        if not (np.array_equal(a, b) if arrays else a == b):
+            return False
+    return True
 
 
 @dataclass
@@ -27,14 +40,7 @@ class LaneSegment:
     class_id: int
     score: float = 1.0
 
-    def __eq__(self, other):
-        if not isinstance(other, LaneSegment):
-            return NotImplemented
-        return (self.class_id == other.class_id
-                and self.score == other.score
-                and np.array_equal(self.centerline, other.centerline)
-                and np.array_equal(self.left_boundary, other.left_boundary)
-                and np.array_equal(self.right_boundary, other.right_boundary))
+    __eq__ = fields_equal
 
 
 def arclength(poly: np.ndarray) -> np.ndarray:

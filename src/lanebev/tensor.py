@@ -145,10 +145,9 @@ def _op(data, inputs, backward):
 def _accumulate(t: Tensor, g):
     if t.tape is None:
         return
-    if t.grad is None:
-        g = np.asarray(g, dtype=t.data.dtype)
-        t.grad = np.broadcast_to(g, t.data.shape).copy() \
-            if g.shape != t.data.shape else g.copy()
+    if t.grad is None:   # g broadcast into an owned array; cheaper than np.broadcast_to().copy()
+        t.grad = np.empty(t.data.shape, dtype=t.data.dtype)
+        t.grad[...] = g
     else:
         t.grad += g
 
@@ -253,7 +252,7 @@ def tsum(x: Tensor, axis=None, keepdims=False) -> Tensor:
         g = out.grad
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accumulate(x, np.broadcast_to(g, x.data.shape).copy())
+        _accumulate(x, g)
     out = _op(x.data.sum(axis=axis, keepdims=keepdims), (x,), backward)
     return out
 

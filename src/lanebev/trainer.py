@@ -304,7 +304,8 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
     resume_from continues a saved checkpoint; the config hash must match.
     The diagnostic flags discard the named part of the restored state so
     the post-resume loss jump can be studied.  Groundtruth polylines must
-    have cfg.n_points points, checked before the first step.
+    have cfg.n_points points, and no frame more segments than cfg.n_queries,
+    checked before the first step.
     """
     if not scenes:
         raise ValueError("dataset is empty")
@@ -313,6 +314,10 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
     if counts - {cfg.n_points}:
         raise ConfigFileError(f"groundtruth polylines have {sorted(counts)} points, "
                               f"but n_points = {cfg.n_points}")
+    most = max((len(gts) for s in scenes for gts in s.groundtruth), default=0)
+    if most > cfg.n_queries:
+        raise ConfigFileError(f"a frame has {most} groundtruth segments, "
+                              f"but n_queries = {cfg.n_queries}")
     scenes = sorted(scenes, key=lambda s: s.scene_id)
     if resume_from is not None:
         ck = restore_checkpoint(resume_from, cfg)

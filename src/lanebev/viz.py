@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import xml.etree.ElementTree as ET
 
+from .dataset import X_MAX, X_MIN, Y_MAX, Y_MIN
+
 CLASS_COLORS = {1: "#2a9d2a", 2: "#e07b20"}  # lane green, crosswalk orange
 SCORE_THRESHOLD = 0.3
 PANEL_PX = 280
@@ -54,7 +56,7 @@ def _panel_svg(panel, segments, title):
     return parts
 
 
-def render_frame_svg(gt_segments, pred_segments=None, extent=(-24.0, 24.0, -12.0, 12.0),
+def render_frame_svg(gt_segments, pred_segments=None, extent=(X_MIN, X_MAX, Y_MIN, Y_MAX),
                      score_threshold=SCORE_THRESHOLD) -> str:
     """Side-by-side SVG document; pred_segments=None renders only the left panel."""
     left = _Panel(MARGIN_PX, extent)

@@ -6,6 +6,7 @@ import pytest
 
 from lanebev import cli
 from lanebev.cli import main
+from lanebev.dataset import InventoryError
 from lanebev.trainer import TrainLog
 
 MICRO_SETS = []
@@ -108,6 +109,28 @@ def test_train_rejects_polylines_unlike_n_points(data_dir, tmp_path, capsys):
     assert code == 2
     assert "[10] points, but n_points = 4" in err and "Traceback" not in err
     assert not (tmp_path / "ck").exists()
+
+
+def test_train_rejects_more_segments_than_queries(data_dir, tmp_path, capsys):
+    code, _, err = run(capsys, "train", "--data", data_dir, "--out", str(tmp_path / "ck"),
+                       *MICRO_SETS, "--set", "n_queries=1")
+    assert code == 2
+    assert "groundtruth segments, but n_queries = 1" in err and "Traceback" not in err
+    assert not (tmp_path / "ck").exists()
+
+
+def test_split_naming_unknown_scenes_rejected(data_dir, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(data_dir, ds)
+    with open(ds / "split_train.txt", "a") as f:
+        f.write("scene_nope\nscene_typo\n")
+    with pytest.raises(InventoryError, match="not in the dataset: scene_nope, scene_typo"):
+        cli._scenes_for_split(str(ds), "train")
+
+
+def test_missing_split_file_rejected(data_dir):
+    with pytest.raises(InventoryError, match="missing split_val.txt"):
+        cli._scenes_for_split(data_dir, "val")
 
 
 @pytest.mark.parametrize("command, flags, drop", [

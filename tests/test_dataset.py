@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -159,6 +160,34 @@ def test_missing_camera_file(tmp_path, scenes):
         D.load_dataset(tmp_path)
 
 
+def test_missing_manifest(tmp_path):
+    with pytest.raises(D.InventoryError, match="missing manifest.txt"):
+        D.load_dataset(tmp_path)
+
+
+def _changed(value):
+    """value with one part altered: an array entry, a sequence's length, a number or text."""
+    if isinstance(value, np.ndarray):
+        value = value.copy()
+        value.flat[-1] += 1
+        return value
+    if isinstance(value, (list, tuple)):
+        return value[:-1]
+    return value + ("x" if isinstance(value, str) else 1)
+
+
+def test_equality_covers_every_field(scenes):
+    """Changing any one field of a Scene, MultiViewFrame, Camera or LaneSegment breaks ==."""
+    sc = scenes[2]
+    frame = sc.frames[-1]
+    seg = next(s for segs in sc.groundtruth for s in segs)
+    for value in (sc, frame, frame.cameras[-1], seg):
+        assert value == dataclasses.replace(value)
+        for f in dataclasses.fields(value):
+            other = dataclasses.replace(value, **{f.name: _changed(getattr(value, f.name))})
+            assert value != other, f"{type(value).__name__}.{f.name}"
+
+
 def _edit_file(path, old, new):
     data = path.read_bytes()
     assert data.count(old) == 1
@@ -192,6 +221,7 @@ def test_out_of_range_records_rejected(tmp_path, scenes, name, old, new):
     (b"version\nscene {}\n", 0),
     (b"version 1\nscene\n", 10),
     (b"version 1\nscene {}\xff\n", 10),     # not UTF-8
+    (b"version 1\nscene {}\nscene {}\n", 31),   # the same scene twice
 ])
 def test_malformed_manifest_rejected(tmp_path, scenes, manifest, at):
     D.save_dataset(scenes[:1], tmp_path)

@@ -458,6 +458,15 @@ def test_train_rejects_polylines_unlike_n_points(tmp_path, scenes):
     assert not (tmp_path / "ck").exists()
 
 
+def test_train_rejects_more_segments_than_queries(tmp_path, scenes):
+    """A frame with more groundtruth segments than n_queries fails before the first step."""
+    most = max(len(gts) for s in scenes for gts in s.groundtruth)
+    with pytest.raises(ConfigFileError,
+                       match=f"a frame has {most} groundtruth segments, but n_queries = {most - 1}"):
+        TR.train(micro_cfg(n_queries=most - 1), scenes, checkpoint_dir=str(tmp_path / "ck"))
+    assert not (tmp_path / "ck").exists()
+
+
 def test_epoch_wall_time_accounting(scenes):
     cfg = micro_cfg(epochs=1)
     log, _, _ = TR.train(cfg, scenes)
