@@ -160,7 +160,8 @@ def deformable_attention(queries: Tensor, value_maps: Tensor, views, params, pre
         attn = T.reshape(weights[query_index], (rows * n_heads, n_points))
         sampled = T.bilinear_sample(value[map_index], pts, attn)  # [rows*heads, d_head]
         weighted.append(T.reshape(sampled, (rows, dim)))
-    return run_linear(T.concat(weighted), params, prefix + "/out")
+    mixed = weighted[0] if len(weighted) == 1 else T.concat(weighted)
+    return run_linear(mixed, params, prefix + "/out")
 
 
 # ---------------------------------------------------------------------------

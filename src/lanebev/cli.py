@@ -12,7 +12,8 @@ import sys
 
 from .backbone import BACKBONE_PRESETS, count_flops, count_macs, flops_table
 from .config import ConfigFileError, load_config
-from .dataset import InventoryError, generate_scene, load_dataset, save_dataset, scenario_for_seed
+from .dataset import (InventoryError, ParseError, _lines, generate_scene, load_dataset,
+                      save_dataset, scenario_for_seed)
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, predict_scene
 from .trainer import format_suite_table, restore_checkpoint, run_experiment_suite, train
@@ -59,10 +60,14 @@ def _scenes_for_split(data_dir, split):
     scenes = load_dataset(data_dir)
     if split:
         path = os.path.join(data_dir, f"split_{split}.txt")
-        if not os.path.isfile(path):
-            raise InventoryError(f"{data_dir}: missing split_{split}.txt")
-        with open(path) as f:
-            keep = {line.strip() for line in f if line.strip()}
+        keep = set()
+        for offset, line in _lines(path):   # InventoryError if the file is missing
+            try:
+                keep.add(line.decode().strip())
+            except UnicodeDecodeError as e:
+                raise ParseError(path, offset + e.start,
+                                 f"invalid UTF-8 byte 0x{line[e.start]:02x}") from None
+        keep.discard("")
         unknown = sorted(keep - {s.scene_id for s in scenes})
         if unknown:
             raise InventoryError(f"{path}: scene ids not in the dataset: {', '.join(unknown)}")

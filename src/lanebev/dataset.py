@@ -562,7 +562,8 @@ def _load_scene(dir_path, scene_id) -> Scene:
     meta, cams_raw, egos, segs = _parse_annotations(ann)
     kind, seed, n_frames = meta
     # image size from the first camera file
-    h, w = _read_pgm(os.path.join(sdir, "frame_0_cam_0.pgm")).shape
+    first = _read_pgm(os.path.join(sdir, "frame_0_cam_0.pgm"))
+    h, w = first.shape
     cameras = []
     for k in sorted(cams_raw):
         fx, fy, cx, cy, *rest = cams_raw[k]
@@ -574,7 +575,7 @@ def _load_scene(dir_path, scene_id) -> Scene:
         images = np.empty((len(cameras), 1, h, w))
         for k in range(len(cameras)):
             path = os.path.join(sdir, f"frame_{t}_cam_{k}.pgm")
-            img = _read_pgm(path)
+            img = first if t == k == 0 else _read_pgm(path)
             if img.shape != (h, w):
                 raise ParseError(path, 0, f"image is {img.shape[1]}x{img.shape[0]}, "
                                           f"frame_0_cam_0.pgm is {w}x{h}")

@@ -307,9 +307,20 @@ def _index_add(shape, idx, values):
     return np.bincount(flat, values.ravel(), size).astype(values.dtype, copy=False).reshape(shape)
 
 
+def _is_basic(idx):
+    """An int, a slice or a tuple of those: it selects each element at most once."""
+    return all(isinstance(i, (int, np.integer, slice)) and not isinstance(i, bool)
+               for i in (idx if isinstance(idx, tuple) else (idx,)))
+
+
 def getitem(x: Tensor, idx) -> Tensor:
     def backward():
-        _accumulate(x, _index_add(x.data.shape, idx, out.grad))
+        if _is_basic(idx):   # no repeats; 0.0 + g turns -0.0 to +0.0 as bincount does
+            g = np.zeros(x.data.shape, dtype=out.grad.dtype)
+            g[idx] += out.grad
+        else:
+            g = _index_add(x.data.shape, idx, out.grad)
+        _accumulate(x, g)
     out = _op(x.data[idx], (x,), backward)
     return out
 
@@ -509,25 +520,38 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     if points.shape != (n, 2) or len(shape) != 2 or shape[0] * shape[1] != n or shape[0] % groups:
         raise DimensionError(f"points {points.shape} and weights {shape} unfit for {groups} groups")
     rows, k = shape
-    p = points.data.T  # [2 (x, y), n]
+    p = np.ascontiguousarray(points.data.T, dtype=np.float64)  # [2 (x, y), n]
     inside = (p[0] >= 0.0) & (p[0] <= 1.0) & (p[1] >= 0.0) & (p[1] <= 1.0)
 
     # per axis (x, y), lo is in [-1, size-1]: each neighbour is clamped on
-    # one side only, and one outside the map gets weight zero; int32 indices
-    # are what scipy keeps, so the CSR constructor copies none of them
-    size = np.array([[w], [h]], dtype=np.int32)
+    # one side only, and one outside the map gets weight zero.  The index
+    # arithmetic runs in float64, exact for these integers, next to the
+    # weights, and the pixels are cast once to int32: what scipy keeps, so
+    # its constructor copies no column index.
+    size = np.array([[w], [h]], dtype=np.float64)
     f = np.fmin(np.fmax(p, 0.0), 1.0) * size - 0.5
-    lo = np.floor(f).astype(np.int32)
-    valid = np.stack([lo >= 0, lo + 1 < size])  # [2 (lo, hi), 2 (x, y), n]
-    wts = np.stack([1.0 - (f - lo), f - lo]) * valid
-    at = np.stack([np.maximum(lo, 0), np.minimum(lo + 1, size - 1)])
-    # the corner pixels, corner-major [4, n] in the order 00, 01, 10, 11 (dy, dx)
-    pixel = ((at[:, 1] * w)[:, None] + at[:, 0]).reshape(4, -1)
+    lo = np.floor(f)
+    hi = lo + 1.0
+    # per neighbour [2 (lo, hi), 2 (x, y), n]: on the map, its weight, its clamped index
+    valid, wts, at = np.empty((2, 2, n), dtype=bool), np.empty((2, 2, n)), np.empty((2, 2, n))
+    np.greater_equal(lo, 0.0, out=valid[0])
+    np.less(hi, size, out=valid[1])
+    np.subtract(f, lo, out=wts[1])
+    np.subtract(1.0, wts[1], out=wts[0])
+    wts *= valid
+    np.maximum(lo, 0.0, out=at[0])
+    np.minimum(hi, size - 1.0, out=at[1])
+    # the corner pixels and weights, corner-major [4, n] in the order 00, 01, 10, 11 (dy, dx)
+    pixel = (at[:, 1, None] * w + at[:, 0]).reshape(4, -1).astype(np.int32)
     wgt = (wts[:, 1, None] * wts[:, 0]).reshape(4, -1)
     pw = np.where(inside, weights.data.reshape(-1), 0.0)
-    row = np.arange(n, dtype=np.int32) // k
-    interp = scipy.sparse.csr_matrix(((wgt * pw).T.ravel(),
-                                      (pixel * groups + row % groups).T.ravel(),
+    column = pixel * groups + np.tile(np.arange(groups, dtype=np.int32).repeat(k), rows // groups)
+    # the CSR data and columns are point-major [n, 4], written a corner at a time
+    data, cols = np.empty((n, 4)), np.empty((n, 4), dtype=np.int32)
+    for j in range(4):
+        np.multiply(wgt[j], pw, out=data[:, j])
+        cols[:, j] = column[j]
+    interp = scipy.sparse.csr_matrix((data.reshape(-1), cols.reshape(-1),
                                       np.arange(0, 4 * n + 1, 4 * k, dtype=np.int32)),
                                      shape=(rows, h * w * groups))
     vrows = value_map.data.reshape(-1, c)  # [H*W*G, C]
@@ -539,7 +563,9 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
         # per entry g[row] . map row [4, n], read from one product per group
         prod = (g.reshape(-1, groups, c).transpose(1, 0, 2)
                 @ vrows.reshape(h * w, groups, c).transpose(1, 2, 0))   # [G, R/G, H*W]
-        dot = prod[row % groups, row // groups, pixel]
+        # row r = q*G + g starts at (g*R/G + q)*H*W in the flat product
+        start = np.arange(rows // groups)[:, None] + np.arange(groups) * (rows // groups)
+        dot = prod.reshape(-1)[pixel + (start * (h * w)).reshape(-1).repeat(k)]
         if weights.tape is not None:
             _accumulate(weights, np.where(inside, (dot * wgt).sum(axis=0), 0.0).reshape(rows, k))
         dot *= pw
@@ -547,7 +573,10 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
             sgn = valid * [[[-1.0]], [[1.0]]]
             dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
             dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)
-            gpts = np.stack([(dot * dwx * w).sum(axis=0), (dot * dwy * h).sum(axis=0)])
-            _accumulate(points, np.where(inside, gpts, 0.0).T)
+            gpts = np.empty((n, 2))
+            gpts[:, 0] = (dot * dwx * w).sum(axis=0)
+            gpts[:, 1] = (dot * dwy * h).sum(axis=0)
+            gpts[~inside] = 0.0
+            _accumulate(points, gpts)
     out = _op(interp @ vrows, (value_map, points, weights), backward)
     return out

@@ -221,6 +221,7 @@ def test_deform_attn_records_one_fused_sampling_op(rng, monkeypatch):
     assert recorded.count("bilinear_sample") == 1
     assert "mul" not in recorded and "tsum" not in recorded
     assert "transpose" not in recorded
+    assert "concat" not in recorded     # one view's sample goes to the projection as is
 
 
 def test_deform_attn_head_divisibility():

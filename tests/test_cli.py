@@ -6,7 +6,7 @@ import pytest
 
 from lanebev import cli
 from lanebev.cli import main
-from lanebev.dataset import InventoryError
+from lanebev.dataset import InventoryError, ParseError
 from lanebev.trainer import TrainLog
 
 MICRO_SETS = []
@@ -125,6 +125,16 @@ def test_split_naming_unknown_scenes_rejected(data_dir, tmp_path):
     with open(ds / "split_train.txt", "a") as f:
         f.write("scene_nope\nscene_typo\n")
     with pytest.raises(InventoryError, match="not in the dataset: scene_nope, scene_typo"):
+        cli._scenes_for_split(str(ds), "train")
+
+
+def test_split_file_with_non_utf8_byte_rejected(data_dir, tmp_path):
+    ds = tmp_path / "ds"
+    shutil.copytree(data_dir, ds)
+    split = (ds / "split_train.txt").read_bytes()
+    (ds / "split_train.txt").write_bytes(split.rstrip(b"\n") + b"\xff\n")
+    offset = len(split.rstrip(b"\n"))
+    with pytest.raises(ParseError, match=f"split_train.txt: byte {offset}: invalid UTF-8 byte 0xff"):
         cli._scenes_for_split(str(ds), "train")
 
 

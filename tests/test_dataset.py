@@ -285,6 +285,17 @@ def test_camera_image_size_mismatch_rejected(tmp_path, scenes):
         D.load_dataset(tmp_path)
 
 
+def test_each_camera_file_read_once(tmp_path, scenes, monkeypatch):
+    D.save_dataset(scenes[:1], tmp_path)
+    reads = []
+    read_pgm = D._read_pgm
+    monkeypatch.setattr(D, "_read_pgm", lambda path: reads.append(path) or read_pgm(path))
+    assert D.load_dataset(tmp_path) == scenes[:1]
+    n_files = len(scenes[0].frames) * len(scenes[0].frames[0].cameras)
+    assert (len(scenes[0].frames), n_files) == (2, 14)
+    assert len(reads) == len(set(reads)) == n_files
+
+
 def test_pgm_scaled_by_maxval(tmp_path):
     path = tmp_path / "img.pgm"
     path.write_bytes(b"P5\n3 1\n100\n" + bytes([0, 50, 100]))

@@ -247,6 +247,49 @@ def test_bilinear_matches_scalar_oracle(rng, groups, c, h, w):
                                    atol=1e-12 * np.abs(want_pts).max())
 
 
+def _axis_points(size):
+    """Coordinates along an axis of `size` pixels that are exact in float32:
+    the square's edges (lo = -1 and lo = size-1 with one neighbour off the
+    map), every pixel edge and centre, and points between them."""
+    return np.unique(np.concatenate([np.arange(2 * size + 1) / (2 * size),
+                                     np.arange(1, 4 * size, 2) / (4 * size)]))
+
+
+@pytest.mark.parametrize("map_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pts_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("w_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("h, w", [(4, 8), (1, 2)])
+def test_bilinear_edge_points_match_scalar_oracle(rng, map_dtype, pts_dtype, w_dtype, h, w):
+    """Points on pixel centres and edges and on the unit square's border.
+    Point weights are powers of two with K = 1, so weighting scales every
+    product exactly and the forward and map gradient match the oracle byte
+    for byte; the point and weight gradients match at the tolerance of the
+    weighted test (float64) or of the gradient's dtype."""
+    c = 3
+    m = rng.standard_normal((c, h, w)).astype(map_dtype)
+    uu, vv = np.meshgrid(_axis_points(w), _axis_points(h))
+    pts = np.stack([uu.ravel(), vv.ravel()], axis=1).astype(pts_dtype)
+    assert {pts[:, 0].min(), pts[:, 0].max(), pts[:, 1].min(), pts[:, 1].max()} == {0.0, 1.0}
+    wts = (2.0 ** rng.integers(-2, 3, (len(pts), 1)) * rng.choice([-1.0, 1.0], (len(pts), 1)))
+    wts = wts.astype(w_dtype)
+    g = rng.standard_normal((len(pts), c))
+    tape = T.Tape()
+    a, p, q = tape.leaf(_channel_last(m)), tape.leaf(pts), tape.leaf(wts)
+    out = T.bilinear_sample(a, p, q)
+    tape.backward(T.tsum(T.mul(out, T.Tensor(g))))
+    exact, exact_wts = pts.astype(np.float64), wts.astype(np.float64)
+    want, want_pts = _bilinear_oracle(m, exact, g, exact_wts)
+    samples, _ = _bilinear_oracle(m, exact, g)
+    assert out.data.tobytes() == want.tobytes()
+    gmap = _map_grad_oracle(m, exact, exact_wts * g).astype(map_dtype)
+    assert _channel_first(a.grad).tobytes() == gmap.tobytes()
+    for got, ref, dtype in ((p.grad, want_pts, pts_dtype),
+                            (q.grad, (samples * g).sum(axis=1, keepdims=True), w_dtype)):
+        assert got.dtype == dtype
+        tol = 1e-12 if dtype == np.float64 else np.finfo(np.float32).eps
+        np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
+
+
 def test_grouped_bilinear_rejects_uneven_points():
     with pytest.raises(T.DimensionError):
         T.bilinear_sample(T.Tensor(np.zeros((4, 4, 3, 2))), T.Tensor(np.zeros((7, 2))))
@@ -604,6 +647,27 @@ def test_getitem_backward_sums_duplicates_in_order(rng):
     want = np.zeros_like(x)
     want[1:3, ::2] = g[:2, :2]
     assert np.array_equal(_grad_of(lambda a: a[1:3, ::2], x, g[:2, :2]), want)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("basic, advanced", [
+    (2, np.array(2)),
+    (slice(1, 4), np.arange(1, 4)),
+    ((1, slice(None, None, 2)), (np.array(1), np.arange(0, 5, 2))),
+    ((slice(2, 4), 3), (np.arange(2, 4), 3)),
+    ((-1, -2), (np.array(-1), np.array(-2))),
+])
+def test_getitem_basic_index_backward_matches_integer_arrays(rng, dtype, basic, advanced):
+    """A basic index's backward (zeros plus one in-place add) and an integer-array
+    index's (bincount) give the same bytes, -0.0 upstream turning into +0.0."""
+    x = rng.standard_normal((4, 5)).astype(dtype)
+    g = _spread(rng, x[basic].shape).astype(dtype)
+    g.reshape(-1)[::2] = -0.0
+    got = _grad_of(lambda a: a[basic], x, g)
+    want = _grad_of(lambda a: a[advanced], x, g)
+    assert got.dtype == want.dtype == dtype
+    assert got.tobytes() == want.tobytes()
+    assert not np.signbit(got[got == 0.0]).any()
 
 
 @pytest.mark.parametrize("k, stride, pad", [(2, 1, 0), (3, 2, 1)])
