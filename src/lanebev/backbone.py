@@ -161,8 +161,7 @@ def init_backbone_params(cfg: BackboneConfig, rng: np.random.Generator) -> dict[
 def _run_conv(x, spec: ConvSpec, params):
     w = T._as_tensor(params[spec.name + "/w"])
     b = T._as_tensor(params[spec.name + "/b"])
-    y = T.conv2d(x, w, stride=spec.stride, padding=spec.pad)
-    return T.add(y, T.reshape(b, (-1, 1, 1)))
+    return T.conv2d(x, w, b, stride=spec.stride, padding=spec.pad)
 
 
 def _run_block(x, block: BlockSpec, params):

@@ -12,8 +12,8 @@ import sys
 
 from .backbone import BACKBONE_PRESETS, count_flops, count_macs, flops_table
 from .config import ConfigFileError, load_config
-from .dataset import (InventoryError, ParseError, _lines, generate_scene, load_dataset,
-                      save_dataset, scenario_for_seed)
+from .dataset import (InventoryError, ParseError, _lines, _load_scene, generate_scene,
+                      manifest_ids, save_dataset, scenario_for_seed)
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, predict_scene
 from .trainer import format_suite_table, restore_checkpoint, run_experiment_suite, train
@@ -57,7 +57,8 @@ def cmd_gen_data(args):
 
 
 def _scenes_for_split(data_dir, split):
-    scenes = load_dataset(data_dir)
+    """The split's scenes in manifest order; only those are read from disk."""
+    ids = manifest_ids(data_dir)
     if split:
         path = os.path.join(data_dir, f"split_{split}.txt")
         keep = set()
@@ -68,11 +69,11 @@ def _scenes_for_split(data_dir, split):
                 raise ParseError(path, offset + e.start,
                                  f"invalid UTF-8 byte 0x{line[e.start]:02x}") from None
         keep.discard("")
-        unknown = sorted(keep - {s.scene_id for s in scenes})
+        unknown = sorted(keep.difference(ids))
         if unknown:
             raise InventoryError(f"{path}: scene ids not in the dataset: {', '.join(unknown)}")
-        scenes = [s for s in scenes if s.scene_id in keep]
-    return scenes
+        ids = [sid for sid in ids if sid in keep]
+    return [_load_scene(data_dir, sid) for sid in ids]
 
 
 def cmd_train(args):
@@ -153,11 +154,11 @@ def _has_split(data_dir):
 
 def cmd_viz(args):
     cfg = _load_cfg(args)
-    scenes = {s.scene_id: s for s in load_dataset(args.data)}
-    if args.scene not in scenes:
+    ids = manifest_ids(args.data)
+    if args.scene not in ids:
         raise ValueError(f"scene {args.scene!r} not found; "
-                         f"available: {', '.join(sorted(scenes))}")
-    scene = scenes[args.scene]
+                         f"available: {', '.join(sorted(ids))}")
+    scene = _load_scene(args.data, args.scene)
     preds_by_frame = None
     if args.checkpoint:
         params = restore_checkpoint(args.checkpoint, cfg)["params"]

@@ -533,6 +533,11 @@ def _parse_annotations(path):
 
 
 def load_dataset(dir_path) -> list[Scene]:
+    return [_load_scene(dir_path, sid) for sid in manifest_ids(dir_path)]
+
+
+def manifest_ids(dir_path) -> list[str]:
+    """The scene ids the dataset's manifest lists, in its order."""
     manifest = os.path.join(dir_path, "manifest.txt")
     scene_ids = []
     for line_off, line in _lines(manifest):
@@ -553,7 +558,7 @@ def load_dataset(dir_path) -> list[Scene]:
                     f"dataset format version {parts[1]} unsupported (expected {FORMAT_VERSION})")
         except ValueError as e:   # UnicodeDecodeError included
             raise ParseError(manifest, line_off, str(e)) from None
-    return [_load_scene(dir_path, sid) for sid in scene_ids]
+    return scene_ids
 
 
 def _load_scene(dir_path, scene_id) -> Scene:

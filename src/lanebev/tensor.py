@@ -337,24 +337,47 @@ def scatter_rows(x: Tensor, idx, n: int) -> Tensor:
 # linear algebra
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_matmul(a, b):
     if a.ndim < 2 or b.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d tensors, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
+
+
+def _matmul_backward(a, b, g):
+    ga = g @ np.swapaxes(b.data, -1, -2)
+    gb = np.swapaxes(a.data, -1, -2) @ g
+    _accumulate(a, _unbroadcast(ga, a.data.shape))
+    _accumulate(b, _unbroadcast(gb, b.data.shape))
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_matmul(a, b)
     def backward():
-        ga = out.grad @ np.swapaxes(b.data, -1, -2)
-        gb = np.swapaxes(a.data, -1, -2) @ out.grad
-        _accumulate(a, _unbroadcast(ga, a.data.shape))
-        _accumulate(b, _unbroadcast(gb, b.data.shape))
+        _matmul_backward(a, b, out.grad)
     out = _op(a.data @ b.data, (a, b), backward)
     return out
 
 
+def _add_bias(y, b):
+    """y + b in y's buffer, unless b's dtype promotes the sum."""
+    y = y.astype(np.result_type(y, b), copy=False)
+    y += b
+    return y
+
+
 def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
-    """x[..., d_in] @ w[d_in, d_out] + b[d_out]; matmul checks the shapes."""
-    y = matmul(x, w)
-    return y if b is None else add(y, b)
+    """x[..., d_in] @ w[d_in, d_out] + b[d_out] as one op."""
+    if b is None:
+        return matmul(x, w)
+    _check_matmul(x, w)
+    if b.shape != w.shape[-1:]:
+        raise DimensionError(f"linear bias {b.shape} vs output dim {w.shape[-1]}")
+    def backward():
+        _accumulate(b, _unbroadcast(out.grad, b.data.shape))
+        _matmul_backward(x, w, out.grad)
+    out = _op(_add_bias(x.data @ w.data, b.data), (x, w, b), backward)
+    return out
 
 
 def softmax(x: Tensor, axis=-1) -> Tensor:
@@ -387,10 +410,10 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     n = x.shape[-1]
     if gain.shape != (n,) or bias.shape != (n,):
         raise DimensionError(f"layer_norm affine shapes {gain.shape}/{bias.shape} vs feature dim {n}")
-    mu = x.data.mean(axis=-1, keepdims=True)
-    var = x.data.var(axis=-1, keepdims=True)
+    xc = x.data - x.data.mean(axis=-1, keepdims=True)
+    var = np.square(xc).sum(axis=-1, keepdims=True) / n   # np.var's own steps, bit for bit
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = xc * inv
     def backward():
         g = out.grad
         gxhat = g * gain.data
@@ -411,8 +434,13 @@ def conv_out_dim(n, k, stride, pad):
     return (n + 2 * pad - k) // stride + 1
 
 
-def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
-    """Cross-correlation of x[(N,)C,H,W] with kernels[C_out,C_in,kh,kw]."""
+def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
+           stride: int = 1, padding: int = 0) -> Tensor:
+    """Cross-correlation of x[(N,)C,H,W] with kernels[C_out,C_in,kh,kw], plus bias[C_out].
+
+    The forward is one GEMM per image of the [C_out, C*kh*kw] kernels with the
+    (c, i, j)-ordered columns [C*kh*kw, H'*W'], so the output is already NCHW.
+    """
     squeeze = x.ndim == 3
     xd = x.data[None] if squeeze else x.data
     if xd.ndim != 4 or kernels.ndim != 4:
@@ -421,21 +449,31 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     cout, kcin, kh, kw = kernels.shape
     if kcin != cin:
         raise DimensionError(f"conv2d channel mismatch: input {cin} vs kernels {kcin}")
+    if bias is not None and bias.shape != (cout,):
+        raise DimensionError(f"conv2d bias {bias.shape} vs {cout} output channels")
     if kh > h + 2 * padding or kw > w + 2 * padding:
         raise DimensionError(
             f"conv2d kernel {kh}x{kw} larger than padded input {h + 2 * padding}x{w + 2 * padding}")
     hout = conv_out_dim(h, kh, stride, padding)
     wout = conv_out_dim(w, kw, stride, padding)
 
-    xp = np.pad(xd, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    xp = xd
+    if padding:
+        xp = np.zeros((nb, cin, h + 2 * padding, w + 2 * padding), dtype=xd.dtype)
+        xp[:, :, padding:padding + h, padding:padding + w] = xd
     win = np.lib.stride_tricks.sliding_window_view(xp, (kh, kw), axis=(2, 3))
     win = win[:, :, ::stride, ::stride][:, :, :hout, :wout]  # [N,C,H',W',kh,kw]
-    y = np.einsum("nchwij,ocij->nohw", win, kernels.data, optimize=True)
+    cols = win.transpose(0, 1, 4, 5, 2, 3).reshape(nb, cin * kh * kw, hout * wout)
+    y = (kernels.data.reshape(cout, -1) @ cols).reshape(nb, cout, hout, wout)
+    if bias is not None:
+        y = _add_bias(y, bias.data[:, None, None])
 
     def backward():
         # One GEMM per kernel tap (kn2row) over channel-last views: tap
         # (i, j) pairs output pixel (h, w) with padded input pixel
         # (i + s*h, j + s*w).
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(out.grad, (cout, 1, 1)).reshape(cout))
         g = out.grad[None] if squeeze else out.grad
         g4 = np.ascontiguousarray(g.transpose(0, 2, 3, 1))   # [N,H',W',O]
         g2 = g4.reshape(-1, cout)
@@ -457,7 +495,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
                     tap(gxp, i, j)[...] += g4 @ kernels.data[:, :, i, j]
             gx = gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
             _accumulate(x, gx[0] if squeeze else gx)
-    out = _op(y[0] if squeeze else y, (x, kernels), backward)
+    out = _op(y[0] if squeeze else y, (x, kernels) if bias is None else (x, kernels, bias), backward)
     return out
 
 

@@ -96,6 +96,24 @@ def test_residual_block_identity_with_zero_final_conv(rng):
     assert np.allclose(out.data, x.data)
 
 
+def test_forward_records_one_op_per_conv(rng, monkeypatch):
+    # each conv owns its bias: no bias add or reshape on the tape, and the
+    # only adds are the residual sums, one per block
+    recorded = []
+    record = T.Tape._record
+    monkeypatch.setattr(T.Tape, "_record", lambda tape, fn, out: (
+        recorded.append(fn.__qualname__.split(".")[0]), record(tape, fn, out)))
+    tape = T.Tape()
+    params = {k: tape.leaf(v) for k, v in B.init_backbone_params(TOY, rng).items()}
+    B.run_backbone(T.Tensor(rng.uniform(0, 1, (2, 3, 64, 96))), TOY, params)
+    plan = B.build_plan(TOY)
+    blocks = [b for stage in plan.stages for b in stage]
+    assert recorded.count("conv2d") == len(plan.stem) + sum(
+        len(b.convs) + (b.downsample is not None) for b in blocks)
+    assert recorded.count("add") == len(blocks)
+    assert "reshape" not in recorded
+
+
 def test_determinism(rng):
     params = B.init_backbone_params(TOY, np.random.default_rng(3))
     imgs = [np.random.default_rng(9).uniform(0, 1, (3, 64, 96)) for _ in range(7)]

@@ -4,7 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from lanebev import cli
+from lanebev import cli, dataset
 from lanebev.cli import main
 from lanebev.dataset import InventoryError, ParseError
 from lanebev.trainer import TrainLog
@@ -136,6 +136,31 @@ def test_split_file_with_non_utf8_byte_rejected(data_dir, tmp_path):
     offset = len(split.rstrip(b"\n"))
     with pytest.raises(ParseError, match=f"split_train.txt: byte {offset}: invalid UTF-8 byte 0xff"):
         cli._scenes_for_split(str(ds), "train")
+
+
+def scenes_read(monkeypatch):
+    """The directories of the PGM files read from now on, as a growing list."""
+    read = []
+    read_pgm = dataset._read_pgm
+    monkeypatch.setattr(dataset, "_read_pgm", lambda path: read.append(
+        os.path.basename(os.path.dirname(path))) or read_pgm(path))
+    return read
+
+
+def test_split_reads_only_its_own_scenes(data_dir, monkeypatch):
+    read = scenes_read(monkeypatch)
+    scenes = cli._scenes_for_split(data_dir, "test")
+    kept = open(os.path.join(data_dir, "split_test.txt")).read().split()
+    assert [s.scene_id for s in scenes] == kept
+    assert read and set(read) == set(kept)
+
+
+def test_viz_reads_only_its_scene(data_dir, tmp_path, capsys, monkeypatch):
+    scene_id = open(os.path.join(data_dir, "manifest.txt")).read().split()[-1]
+    read = scenes_read(monkeypatch)
+    assert run(capsys, "viz", "--data", data_dir, "--scene", scene_id,
+               "--out", str(tmp_path), *MICRO_SETS)[0] == 0
+    assert read and set(read) == {scene_id}
 
 
 def test_missing_split_file_rejected(data_dir):

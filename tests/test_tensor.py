@@ -73,17 +73,20 @@ def test_conv2d_kernel_too_large():
         T.conv2d(T.Tensor(np.ones((1, 2, 2))), T.Tensor(np.ones((1, 1, 5, 5))))
 
 
-def _conv2d_oracle(x, k, stride, padding, gy):
+def _conv2d_oracle(x, k, bias, stride, padding, gy):
     """Plain loops over every (output pixel, kernel tap) pair: the forward
-    and, for upstream gradient gy, the kernel and input gradients."""
+    and, for upstream gradient gy, the kernel, input and bias gradients."""
     nb, cin, h, w = x.shape
     cout, _, kh, kw = k.shape
     hout, wout = gy.shape[2:]
     y, gk, gx = np.zeros(gy.shape), np.zeros(k.shape), np.zeros(x.shape)
+    gb = np.zeros(cout)
     for n in range(nb):
         for o in range(cout):
             for a in range(hout):
                 for b in range(wout):
+                    y[n, o, a, b] += bias[o]
+                    gb[o] += gy[n, o, a, b]
                     for c in range(cin):
                         for i in range(kh):
                             for j in range(kw):
@@ -92,7 +95,7 @@ def _conv2d_oracle(x, k, stride, padding, gy):
                                     y[n, o, a, b] += x[n, c, r, q] * k[o, c, i, j]
                                     gk[o, c, i, j] += gy[n, o, a, b] * x[n, c, r, q]
                                     gx[n, c, r, q] += gy[n, o, a, b] * k[o, c, i, j]
-    return y, gk, gx
+    return y, gk, gx, gb
 
 
 @pytest.mark.parametrize("xshape, kshape, stride, padding", [
@@ -110,16 +113,36 @@ def _conv2d_oracle(x, k, stride, padding, gy):
 def test_conv2d_matches_scalar_oracle(rng, xshape, kshape, stride, padding):
     x = rng.standard_normal(xshape)
     k = rng.standard_normal(kshape)
+    bias = rng.standard_normal(kshape[0])
     tape = T.Tape()
-    xt, kt = tape.leaf(x), tape.leaf(k)
-    y = T.conv2d(xt, kt, stride=stride, padding=padding)
+    xt, kt, bt = tape.leaf(x), tape.leaf(k), tape.leaf(bias)
+    y = T.conv2d(xt, kt, bt, stride=stride, padding=padding)
     gy = rng.standard_normal(y.shape)
     tape.backward(T.tsum(T.mul(y, T.Tensor(gy))))
     batched = (lambda a: a) if x.ndim == 4 else (lambda a: a[None])
-    want = _conv2d_oracle(batched(x), k, stride, padding, batched(gy))
-    for got, ref in zip((batched(y.data), kt.grad, batched(xt.grad)), want):
+    want = _conv2d_oracle(batched(x), k, bias, stride, padding, batched(gy))
+    for got, ref in zip((batched(y.data), kt.grad, batched(xt.grad), bt.grad), want):
         assert got.shape == ref.shape
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("bias_shape", [(1,), (4, 1), (3,)])
+def test_conv2d_rejects_bias_of_wrong_shape(bias_shape):
+    with pytest.raises(T.DimensionError, match="conv2d bias"):
+        T.conv2d(T.Tensor(np.ones((2, 5, 5))), T.Tensor(np.ones((4, 2, 3, 3))),
+                 T.Tensor(np.ones(bias_shape)))
+
+
+@pytest.mark.parametrize("bias_shape", [(1,), (2, 4), (3,)])
+def test_linear_rejects_bias_of_wrong_shape(bias_shape):
+    with pytest.raises(T.DimensionError, match="linear bias"):
+        T.linear(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 4))), T.Tensor(np.ones(bias_shape)))
+
+
+def test_linear_output_dtype_follows_the_sum():
+    x, w = T.Tensor(np.ones((2, 3), np.float32)), T.Tensor(np.ones((3, 4), np.float32))
+    assert T.linear(x, w, T.Tensor(np.ones(4, np.float32))).data.dtype == np.float32
+    assert T.linear(x, w, T.Tensor(np.ones(4))).data.dtype == np.float64
 
 
 def test_bilinear_cell_center():
@@ -495,10 +518,11 @@ TAPED_OPS = {
     "getitem": lambda leaf: T.getitem(leaf(3, 2), np.array([0, 2, 0])),
     "scatter_rows": lambda leaf: T.scatter_rows(leaf(2, 3), np.array([3, 0]), 4),
     "matmul": lambda leaf: T.matmul(leaf(2, 3), leaf(3, 4)),
+    "linear": lambda leaf: T.linear(leaf(2, 3), leaf(3, 4), leaf(4)),
     "softmax": lambda leaf: T.softmax(leaf(2, 3)),
     "log_softmax": lambda leaf: T.log_softmax(leaf(2, 3)),
     "layer_norm": lambda leaf: T.layer_norm(leaf(2, 3), leaf(3), leaf(3)),
-    "conv2d": lambda leaf: T.conv2d(leaf(2, 5, 5), leaf(3, 2, 3, 3), stride=2, padding=1),
+    "conv2d": lambda leaf: T.conv2d(leaf(2, 5, 5), leaf(3, 2, 3, 3), leaf(3), stride=2, padding=1),
     "max_pool2d": lambda leaf: T.max_pool2d(leaf(2, 4, 4)),
     "bilinear_sample": lambda leaf: T.bilinear_sample(leaf(2, 3, 4), leaf(5, 2)),
 }
@@ -565,6 +589,14 @@ def test_grad_conv2d(rng):
     k = rng.standard_normal((3, 2, 3, 3))
     check_gradients(lambda a, b: T.tsum(T.mul(T.conv2d(a, b, stride=1, padding=1),
                                               T.conv2d(a, b, stride=1, padding=1))), [x, k])
+
+
+def test_grad_conv2d_bias(rng):
+    x = rng.standard_normal((2, 2, 5, 5))
+    k = rng.standard_normal((3, 2, 3, 3))
+    b = rng.standard_normal(3)
+    check_gradients(lambda a, c, d: T.tsum(T.mul(y := T.conv2d(a, c, d, stride=2, padding=1), y)),
+                    [x, k, b])
 
 
 def test_grad_conv2d_strided_padded(rng):
