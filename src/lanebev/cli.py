@@ -12,8 +12,8 @@ import sys
 
 from .backbone import BACKBONE_PRESETS, count_flops, count_macs, flops_table
 from .config import ConfigFileError, load_config
-from .dataset import (InventoryError, ParseError, _lines, _load_scene, generate_scene,
-                      manifest_ids, save_dataset, scenario_for_seed)
+from .dataset import (generate_scene, has_split, load_dataset, read_split, save_dataset,
+                      scenario_for_seed, write_split)
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, predict_scene
 from .trainer import format_suite_table, restore_checkpoint, run_experiment_suite, train
@@ -37,11 +37,6 @@ def _load_cfg(args):
 def cmd_gen_data(args):
     if args.scenes <= 0:
         raise UsageError("--scenes must be positive")
-    print(f"# gen-data seed={args.seed} scenes={args.scenes} "
-          f"split={args.split or '-'} out={args.out}")
-    scenes = [generate_scene(args.seed + i, scenario_for_seed(args.seed + i))
-              for i in range(args.scenes)]
-    save_dataset(scenes, args.out)
     if args.split:
         try:
             n_train, n_test = (int(x) for x in args.split.split(":"))
@@ -49,37 +44,26 @@ def cmd_gen_data(args):
             raise UsageError(f"--split must be A:B, got {args.split!r}") from None
         if n_train + n_test != args.scenes or n_train <= 0 or n_test <= 0:
             raise UsageError(f"split {args.split} does not partition {args.scenes} scenes")
+    print(f"# gen-data seed={args.seed} scenes={args.scenes} "
+          f"split={args.split or '-'} out={args.out}")
+    scenes = [generate_scene(args.seed + i, scenario_for_seed(args.seed + i))
+              for i in range(args.scenes)]
+    save_dataset(scenes, args.out)
+    if args.split:
         for name, chunk in (("train", scenes[:n_train]), ("test", scenes[n_train:])):
-            with open(os.path.join(args.out, f"split_{name}.txt"), "w") as f:
-                for sc in chunk:
-                    f.write(sc.scene_id + "\n")
+            write_split(args.out, name, [sc.scene_id for sc in chunk])
     print(f"wrote {len(scenes)} scenes to {args.out}")
 
 
-def _scenes_for_split(data_dir, split):
-    """The split's scenes in manifest order; only those are read from disk."""
-    ids = manifest_ids(data_dir)
-    if split:
-        path = os.path.join(data_dir, f"split_{split}.txt")
-        keep = set()
-        for offset, line in _lines(path):   # InventoryError if the file is missing
-            try:
-                keep.add(line.decode().strip())
-            except UnicodeDecodeError as e:
-                raise ParseError(path, offset + e.start,
-                                 f"invalid UTF-8 byte 0x{line[e.start]:02x}") from None
-        keep.discard("")
-        unknown = sorted(keep.difference(ids))
-        if unknown:
-            raise InventoryError(f"{path}: scene ids not in the dataset: {', '.join(unknown)}")
-        ids = [sid for sid in ids if sid in keep]
-    return [_load_scene(data_dir, sid) for sid in ids]
+def _load_split(data_dir, split):
+    """The dataset's scenes, or only those of the named split."""
+    return load_dataset(data_dir, read_split(data_dir, split) if split else None)
 
 
 def cmd_train(args):
     """train, and resume (whose parser adds --checkpoint and the drop flags)."""
     cfg = _load_cfg(args)
-    scenes = _scenes_for_split(args.data, args.split)
+    scenes = _load_split(args.data, args.split)
     log, params, adam = train(cfg, scenes, checkpoint_dir=args.out,
                               log_path=os.path.join(args.out, "train_log.csv"),
                               resume_from=args.checkpoint,
@@ -95,21 +79,17 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
+    if not (args.oracle or args.checkpoint):
+        raise UsageError("eval needs --checkpoint (or --oracle)")
     cfg = _load_cfg(args)
-    scenes = _scenes_for_split(args.data, args.split)
+    scenes = _load_split(args.data, args.split)
     gts = groundtruth_by_frame(scenes)
     if args.oracle:
-        preds = {k: [type(g)(g.centerline, g.left_boundary, g.right_boundary,
-                             g.class_id, 1.0) for g in v] for k, v in gts.items()}
+        preds = gts   # loaded segments carry score 1.0
     else:
-        if not args.checkpoint:
-            raise UsageError("eval needs --checkpoint (or --oracle)")
         params = restore_checkpoint(args.checkpoint, cfg)["params"]
-        preds = {}
-        for sc in scenes:
-            preds.update(predict_scene(sc, params, cfg))
-    report = evaluate(preds, gts)
-    text = report.to_text()
+        preds = {k: v for sc in scenes for k, v in predict_scene(sc, params, cfg).items()}
+    text = evaluate(preds, gts).to_text()
     print(text, end="")
     if args.out:
         with open(args.out, "w") as f:
@@ -135,10 +115,10 @@ def cmd_flops(args):
 
 def cmd_suite(args):
     cfg = _load_cfg(args)
-    split = args.split or ("train" if _has_split(args.data) else None)
-    train_scenes = _scenes_for_split(args.data, split)
+    split = args.split or ("train" if has_split(args.data, "train") else None)
+    train_scenes = _load_split(args.data, split)
     eval_dir = args.eval_data or args.data
-    eval_scenes = _scenes_for_split(eval_dir, "test" if _has_split(eval_dir) else None)
+    eval_scenes = _load_split(eval_dir, "test" if has_split(eval_dir, "test") else None)
     rows = run_experiment_suite(train_scenes, eval_scenes, epochs=args.epochs,
                                 seed=cfg.seed, base_overrides=args.set or [])
     table = format_suite_table(rows)
@@ -148,29 +128,21 @@ def cmd_suite(args):
             f.write(table + "\n")
 
 
-def _has_split(data_dir):
-    return os.path.exists(os.path.join(data_dir, "split_train.txt"))
-
-
 def cmd_viz(args):
     cfg = _load_cfg(args)
-    ids = manifest_ids(args.data)
-    if args.scene not in ids:
-        raise ValueError(f"scene {args.scene!r} not found; "
-                         f"available: {', '.join(sorted(ids))}")
-    scene = _load_scene(args.data, args.scene)
-    preds_by_frame = None
+    scene, = load_dataset(args.data, [args.scene])
+    preds_by_frame = {}
     if args.checkpoint:
         params = restore_checkpoint(args.checkpoint, cfg)["params"]
         preds_by_frame = predict_scene(scene, params, cfg)
     from .viz import render_frame_svg, validate_svg
     extent = (cfg.bev_x_min, cfg.bev_x_max, cfg.bev_y_min, cfg.bev_y_max)
+    os.makedirs(args.out, exist_ok=True)
     for t in range(len(scene.frames)):
-        preds = preds_by_frame[f"{scene.scene_id}/frame_{t}"] if preds_by_frame else None
+        preds = preds_by_frame.get(f"{scene.scene_id}/frame_{t}")
         svg = render_frame_svg(scene.groundtruth[t], preds, extent)
         validate_svg(svg)
         path = os.path.join(args.out, f"{scene.scene_id}_frame_{t}.svg")
-        os.makedirs(args.out, exist_ok=True)
         with open(path, "w") as f:
             f.write(svg)
         print(f"wrote {path}")
@@ -181,7 +153,10 @@ def build_parser():
                                 description="lane-topology BEV pipeline tools")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, split=True):
+        sp.add_argument("--data", required=True, help="dataset directory")
+        if split:
+            sp.add_argument("--split", help="dataset split name (train/test)")
         sp.add_argument("--config", help="key = value config file")
         sp.add_argument("--set", action="append", metavar="KEY=VALUE",
                         help="config override, repeatable")
@@ -195,8 +170,6 @@ def build_parser():
 
     t = sub.add_parser("train", help="train a model")
     common(t)
-    t.add_argument("--data", required=True)
-    t.add_argument("--split", help="dataset split name (train/test)")
     t.add_argument("--out", required=True, help="checkpoint directory")
     t.set_defaults(fn=cmd_train, checkpoint=None, drop_optimizer_state=False,
                    drop_rng_state=False)
@@ -204,8 +177,6 @@ def build_parser():
     r = sub.add_parser("resume", help="resume training from a checkpoint")
     common(r)
     r.add_argument("--checkpoint", required=True)
-    r.add_argument("--data", required=True)
-    r.add_argument("--split")
     r.add_argument("--out", required=True)
     r.add_argument("--drop-optimizer-state", action="store_true",
                    help="diagnostic: reset Adam moments at resume")
@@ -215,8 +186,6 @@ def build_parser():
 
     e = sub.add_parser("eval", help="evaluate predictions (Chamfer mAP)")
     common(e)
-    e.add_argument("--data", required=True)
-    e.add_argument("--split")
     e.add_argument("--checkpoint")
     e.add_argument("--oracle", action="store_true",
                    help="evaluate groundtruth against itself (sanity check)")
@@ -229,16 +198,13 @@ def build_parser():
 
     s = sub.add_parser("suite", help="run the 4-preset experiment comparison")
     common(s)
-    s.add_argument("--data", required=True)
-    s.add_argument("--split")
     s.add_argument("--eval-data")
     s.add_argument("--epochs", type=int, default=2)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_suite)
 
     v = sub.add_parser("viz", help="render groundtruth vs prediction SVGs")
-    common(v)
-    v.add_argument("--data", required=True)
+    common(v, split=False)
     v.add_argument("--scene", required=True)
     v.add_argument("--checkpoint")
     v.add_argument("--out", required=True)
@@ -247,8 +213,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.fn(args)
     except (UsageError, ConfigFileError) as exc:

@@ -532,14 +532,10 @@ def _parse_annotations(path):
     return meta, cams_raw, egos, segs
 
 
-def load_dataset(dir_path) -> list[Scene]:
-    return [_load_scene(dir_path, sid) for sid in manifest_ids(dir_path)]
-
-
-def manifest_ids(dir_path) -> list[str]:
-    """The scene ids the dataset's manifest lists, in its order."""
+def load_dataset(dir_path, ids=None) -> list[Scene]:
+    """The manifest's scenes in its order, or only those in ``ids``; only these are read."""
     manifest = os.path.join(dir_path, "manifest.txt")
-    scene_ids = []
+    listed = []
     for line_off, line in _lines(manifest):
         try:
             parts = line.decode().split()
@@ -550,15 +546,43 @@ def manifest_ids(dir_path) -> list[str]:
             if len(parts) != 2:
                 raise ValueError(f"{parts[0]} record needs one value, got {len(parts) - 1}")
             if parts[0] == "scene":
-                if parts[1] in scene_ids:
+                if parts[1] in listed:
                     raise ValueError(f"duplicate scene record {parts[1]!r}")
-                scene_ids.append(parts[1])
+                listed.append(parts[1])
             elif int(parts[1]) != FORMAT_VERSION:
                 raise UnsupportedVersionError(
                     f"dataset format version {parts[1]} unsupported (expected {FORMAT_VERSION})")
         except ValueError as e:   # UnicodeDecodeError included
             raise ParseError(manifest, line_off, str(e)) from None
-    return scene_ids
+    if ids is not None:
+        unknown = sorted(set(ids).difference(listed))
+        if unknown:
+            raise InventoryError(f"{dir_path}: scene ids not in the dataset: {', '.join(unknown)}")
+        listed = [sid for sid in listed if sid in ids]
+    return [_load_scene(dir_path, sid) for sid in listed]
+
+
+def _split_path(dir_path, name):
+    return os.path.join(dir_path, f"split_{name}.txt")
+
+
+def write_split(dir_path, name, scene_ids):
+    with open(_split_path(dir_path, name), "w") as f:
+        f.writelines(sid + "\n" for sid in scene_ids)
+
+
+def has_split(dir_path, name) -> bool:
+    return os.path.isfile(_split_path(dir_path, name))
+
+
+def read_split(dir_path, name) -> list[str]:
+    """The scene ids, one a line, of the split ``name`` that ``write_split`` wrote."""
+    path = _split_path(dir_path, name)
+    try:
+        text = _read(path).decode()
+    except UnicodeDecodeError as e:
+        raise ParseError(path, e.start, f"invalid UTF-8 byte 0x{e.object[e.start]:02x}") from None
+    return [line.strip() for line in text.split("\n") if line.strip()]
 
 
 def _load_scene(dir_path, scene_id) -> Scene:

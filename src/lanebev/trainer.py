@@ -10,6 +10,7 @@ loss jump.
 
 from __future__ import annotations
 
+import itertools
 import os
 import struct
 import time
@@ -111,14 +112,21 @@ class TrainLog:
                "fwd_ms": fwd_ms, "bwd_ms": bwd_ms, "opt_ms": opt_ms}
         self.steps.append(row)
         if self.path:
-            new = not os.path.exists(self.path)
             losses = ",".join(f"{parts['loss_' + k]:.9g}" for k in ("total", "cls", "pts", "bnd"))
             stages = ",".join(f"{v:.3f}" for v in (fwd_ms, bwd_ms, opt_ms))
             with open(self.path, "a") as f:
-                if new:
+                if f.tell() == 0:
                     f.write(self.CSV_HEADER + "\n")
                 f.write(f"{step},{epoch},{losses},{wall_ms:.3f},{float(grad_norm)!r},{float(lr)!r},"
                         f"{int(clipped)},{stages}\n")
+
+    def keep_file_rows(self, step):
+        """Cut the log file to its header and its rows up to ``step``."""
+        if self.path and os.path.exists(self.path):
+            with open(self.path, "r+b") as f:
+                header, *rows = f.read().splitlines(keepends=True) or [b""]
+                kept = itertools.takewhile(lambda row: int(row.split(b",")[0]) <= step, rows)
+                f.truncate(len(header) + sum(map(len, kept)))
 
     def losses(self):
         return [r["loss_total"] for r in self.steps]
@@ -302,6 +310,7 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
     """Train over scenes for cfg.epochs; returns (TrainLog, params, adam).
 
     resume_from continues a saved checkpoint; the config hash must match.
+    The CSV log at log_path keeps only its rows before the first new step.
     The diagnostic flags discard the named part of the restored state so
     the post-resume loss jump can be studied.  Groundtruth polylines must
     have cfg.n_points points, and no frame more segments than cfg.n_queries,
@@ -332,6 +341,7 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
         epoch_start, step, wall = 0, 0, 0.0
 
     log = TrainLog(path=log_path)
+    log.keep_file_rows(step)
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
 

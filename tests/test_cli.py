@@ -66,6 +66,7 @@ def test_gen_data_bad_split(tmp_path, capsys):
     code, _, err = run(capsys, "gen-data", "--scenes", "3", "--split", "5:1",
                        "--out", str(tmp_path / "x"))
     assert code == 2
+    assert not (tmp_path / "x").exists()
 
 
 def test_flops_resnet50(capsys):
@@ -125,7 +126,7 @@ def test_split_naming_unknown_scenes_rejected(data_dir, tmp_path):
     with open(ds / "split_train.txt", "a") as f:
         f.write("scene_nope\nscene_typo\n")
     with pytest.raises(InventoryError, match="not in the dataset: scene_nope, scene_typo"):
-        cli._scenes_for_split(str(ds), "train")
+        dataset.load_dataset(str(ds), dataset.read_split(str(ds), "train"))
 
 
 def test_split_file_with_non_utf8_byte_rejected(data_dir, tmp_path):
@@ -135,7 +136,7 @@ def test_split_file_with_non_utf8_byte_rejected(data_dir, tmp_path):
     (ds / "split_train.txt").write_bytes(split.rstrip(b"\n") + b"\xff\n")
     offset = len(split.rstrip(b"\n"))
     with pytest.raises(ParseError, match=f"split_train.txt: byte {offset}: invalid UTF-8 byte 0xff"):
-        cli._scenes_for_split(str(ds), "train")
+        dataset.read_split(str(ds), "train")
 
 
 def scenes_read(monkeypatch):
@@ -149,7 +150,7 @@ def scenes_read(monkeypatch):
 
 def test_split_reads_only_its_own_scenes(data_dir, monkeypatch):
     read = scenes_read(monkeypatch)
-    scenes = cli._scenes_for_split(data_dir, "test")
+    scenes = dataset.load_dataset(data_dir, dataset.read_split(data_dir, "test"))
     kept = open(os.path.join(data_dir, "split_test.txt")).read().split()
     assert [s.scene_id for s in scenes] == kept
     assert read and set(read) == set(kept)
@@ -165,7 +166,41 @@ def test_viz_reads_only_its_scene(data_dir, tmp_path, capsys, monkeypatch):
 
 def test_missing_split_file_rejected(data_dir):
     with pytest.raises(InventoryError, match="missing split_val.txt"):
-        cli._scenes_for_split(data_dir, "val")
+        dataset.read_split(data_dir, "val")
+
+
+def logged_steps(path):
+    with open(path) as f:
+        return [int(row.split(",")[0]) for row in f.read().splitlines()[1:]]
+
+
+def test_second_train_starts_a_new_log(data_dir, tmp_path, capsys):
+    for _ in range(2):
+        assert run(capsys, "train", "--data", data_dir, "--split", "train", "--out",
+                   str(tmp_path), *MICRO_SETS)[0] == 0
+    assert logged_steps(tmp_path / "train_log.csv") == [1, 2]
+
+
+def test_resume_keeps_log_rows_up_to_its_checkpoint(data_dir, tmp_path, capsys):
+    sets = [*MICRO_SETS, "--set", "epochs=2", "--set", "checkpoint_every=1"]
+    assert run(capsys, "train", "--data", data_dir, "--split", "train", "--out",
+               str(tmp_path), *sets)[0] == 0
+    assert run(capsys, "resume", "--checkpoint", str(tmp_path / "ckpt_epoch_1.bin"),
+               "--data", data_dir, "--split", "train", "--out", str(tmp_path), *sets)[0] == 0
+    assert logged_steps(tmp_path / "train_log.csv") == [1, 2, 3, 4]
+
+
+def test_suite_evaluates_the_test_split_of_eval_data(data_dir, tmp_path, capsys, monkeypatch):
+    eval_dir = tmp_path / "ev"
+    shutil.copytree(data_dir, eval_dir)
+    os.remove(eval_dir / "split_train.txt")
+    calls = []
+    monkeypatch.setattr(cli, "run_experiment_suite",
+                        lambda train_scenes, eval_scenes, **kw: calls.append(eval_scenes) or [])
+    assert run(capsys, "suite", "--data", data_dir, "--eval-data", str(eval_dir),
+               *MICRO_SETS)[0] == 0
+    kept = open(eval_dir / "split_test.txt").read().split()
+    assert [[s.scene_id for s in scenes] for scenes in calls] == [kept]
 
 
 @pytest.mark.parametrize("command, flags, drop", [

@@ -124,6 +124,13 @@ def test_roundtrip(tmp_path, scenes):
     assert loaded == scenes
 
 
+def test_load_dataset_ids_keep_manifest_order(tmp_path, scenes):
+    D.save_dataset(scenes, tmp_path)
+    ids = [scenes[2].scene_id, scenes[0].scene_id]
+    assert D.load_dataset(tmp_path, ids) == D.load_dataset(tmp_path, ids[::-1]) \
+        == [scenes[0], scenes[2]]
+
+
 def test_save_is_byte_deterministic(tmp_path, scenes):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     D.save_dataset(scenes, d1)
