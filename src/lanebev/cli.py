@@ -37,6 +37,8 @@ def _load_cfg(args):
 def cmd_gen_data(args):
     if args.scenes <= 0:
         raise UsageError("--scenes must be positive")
+    if os.path.exists(args.out) and (not os.path.isdir(args.out) or os.listdir(args.out)):
+        raise UsageError(f"--out {args.out} must be a new or empty directory")
     if args.split:
         try:
             n_train, n_test = (int(x) for x in args.split.split(":"))
@@ -119,8 +121,7 @@ def cmd_suite(args):
     train_scenes = _load_split(args.data, split)
     eval_dir = args.eval_data or args.data
     eval_scenes = _load_split(eval_dir, "test" if has_split(eval_dir, "test") else None)
-    rows = run_experiment_suite(train_scenes, eval_scenes, epochs=args.epochs,
-                                seed=cfg.seed, base_overrides=args.set or [])
+    rows = run_experiment_suite(train_scenes, eval_scenes, cfg)
     table = format_suite_table(rows)
     print(table)
     if args.out:
@@ -196,10 +197,9 @@ def build_parser():
     f.add_argument("--preset", required=True)
     f.set_defaults(fn=cmd_flops)
 
-    s = sub.add_parser("suite", help="run the 4-preset experiment comparison")
+    s = sub.add_parser("suite", help="run the 4-preset comparison on the resolved config")
     common(s)
     s.add_argument("--eval-data")
-    s.add_argument("--epochs", type=int, default=2)
     s.add_argument("--out")
     s.set_defaults(fn=cmd_suite)
 

@@ -135,6 +135,17 @@ def _parse_value(name: str, raw: str):
         raise ConfigFileError(f"bad value for {name}: {raw!r}") from None
 
 
+def _parse_pair(text: str):
+    """One ``key = value`` of a config-file line or a ``--set`` pair."""
+    if "=" not in text:
+        raise ConfigFileError(f"expected 'key = value', got {text!r}")
+    key, _, raw = text.partition("=")
+    key = key.strip()
+    if key not in _FIELDS:
+        raise ConfigFileError(f"unknown key {key!r}")
+    return key, _parse_value(key, raw.strip())
+
+
 def parse_config_file(path: str) -> dict:
     """Line-oriented ``key = value`` file; '#' starts a comment."""
     out = {}
@@ -143,32 +154,23 @@ def parse_config_file(path: str) -> dict:
             lines = f.readlines()
     except UnicodeDecodeError as e:
         raise ConfigFileError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+    except OSError as e:
+        raise ConfigFileError(f"{path}: cannot read config file ({e.strerror})") from None
     for lineno, line in enumerate(lines, 1):
         text = line.split("#", 1)[0].strip()
         if not text:
             continue
-        if "=" not in text:
-            raise ConfigFileError(f"{path}:{lineno}: expected 'key = value', got {text!r}")
-        key, _, raw = text.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigFileError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = _parse_value(key, raw.strip())
+        try:
+            key, value = _parse_pair(text)
+        except ConfigFileError as e:
+            raise ConfigFileError(f"{path}:{lineno}: {e}") from None
+        out[key] = value
     return out
 
 
 def apply_overrides(cfg: ExperimentConfig, pairs) -> ExperimentConfig:
     """Apply ``key=value`` strings (CLI --set) on top of a config."""
-    updates = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigFileError(f"override must be key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        key = key.strip()
-        if key not in _FIELDS:
-            raise ConfigFileError(f"unknown config key {key!r}")
-        updates[key] = _parse_value(key, raw.strip())
-    return replace(cfg, **updates)
+    return replace(cfg, **dict(map(_parse_pair, pairs)))
 
 
 def load_config(path: str | None, overrides=()) -> ExperimentConfig:

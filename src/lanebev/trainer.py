@@ -14,11 +14,11 @@ import itertools
 import os
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .config import ConfigFileError, apply_overrides, preset_config
+from .config import EXPERIMENT_PRESETS, ConfigFileError
 from .evaluation import evaluate
 from .model import groundtruth_by_frame, init_model_params, predict_scene, scene_loss
 from .tensor import Tape
@@ -375,29 +375,24 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
 # experiment suite
 
 
-SUITE_PRESETS = ("baseline-3:6", "shallow-backbone", "2:4", "4:8")
 # per-step wall time and its forward / backward / optimizer split, in ms
 STEP_MS = ("wall_ms", "fwd_ms", "bwd_ms", "opt_ms")
 
 
-def run_experiment_suite(train_scenes, eval_scenes, epochs, seed=0,
-                         presets=SUITE_PRESETS, base_overrides=()):
-    """Train every preset on one dataset and compare sec/epoch and mAP.
-
-    Returns a list of row dicts (preset, epochs, sec_per_epoch, map, and
-    the median per-step wall_ms, fwd_ms, bwd_ms and opt_ms).
-    """
+def run_experiment_suite(train_scenes, eval_scenes, cfg):
+    """Train every preset of ``EXPERIMENT_PRESETS``, in order, and compare
+    sec/epoch and mAP. A preset sets only its backbone and encoder/decoder
+    depths on ``cfg``. Returns a list of row dicts (preset, epochs,
+    sec_per_epoch, map, and the median per-step wall_ms, fwd_ms, bwd_ms and
+    opt_ms)."""
     gts = groundtruth_by_frame(eval_scenes)
     rows = []
-    for name in presets:
-        cfg = preset_config(name, epochs=epochs, seed=seed)
-        cfg = apply_overrides(cfg, base_overrides)
-        log, params, _ = train(cfg, train_scenes)
-        preds = {}
-        for scene in eval_scenes:
-            preds.update(predict_scene(scene, params, cfg))
+    for name, preset in EXPERIMENT_PRESETS.items():
+        run_cfg = replace(cfg, **preset)
+        log, params, _ = train(run_cfg, train_scenes)
+        preds = {k: v for sc in eval_scenes for k, v in predict_scene(sc, params, run_cfg).items()}
         report = evaluate(preds, gts)
-        rows.append({"preset": name, "epochs": epochs,
+        rows.append({"preset": name, "epochs": run_cfg.epochs,
                      "sec_per_epoch": float(np.mean(log.epoch_seconds)),
                      "map": report.map_value,
                      **{k: float(np.median([r[k] for r in log.steps])) for k in STEP_MS}})

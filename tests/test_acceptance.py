@@ -341,10 +341,8 @@ def suite_runs():
     """Shared 4-preset comparison used by criteria 6 and 8."""
     scenes = _scenes(TIMING_SCENES + 2)
     train_scenes, eval_scenes = scenes[:TIMING_SCENES], scenes[TIMING_SCENES:]
-    rows = TR.run_experiment_suite(train_scenes, eval_scenes, epochs=TREND_EPOCHS,
-                                   seed=0,
-                                   base_overrides=("learning_rate=1e-3",
-                                                   "warmup_steps=8"))
+    cfg = ExperimentConfig(epochs=TREND_EPOCHS, seed=0, learning_rate=1e-3, warmup_steps=8)
+    rows = TR.run_experiment_suite(train_scenes, eval_scenes, cfg)
     return {r["preset"]: r for r in rows}
 
 

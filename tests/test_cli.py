@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import shutil
 import xml.etree.ElementTree as ET
@@ -5,8 +6,11 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from lanebev import cli, dataset
+from lanebev import trainer as TR
 from lanebev.cli import main
+from lanebev.config import EXPERIMENT_PRESETS, load_config
 from lanebev.dataset import InventoryError, ParseError
+from lanebev.model import groundtruth_by_frame
 from lanebev.trainer import TrainLog
 
 MICRO_SETS = []
@@ -67,6 +71,23 @@ def test_gen_data_bad_split(tmp_path, capsys):
                        "--out", str(tmp_path / "x"))
     assert code == 2
     assert not (tmp_path / "x").exists()
+
+
+def test_gen_data_refuses_an_out_that_is_not_empty(tmp_path, capsys):
+    d = tmp_path / "d"
+    assert run(capsys, "gen-data", "--scenes", "3", "--seed", "5", "--split", "2:1",
+               "--out", str(d))[0] == 0
+    before = tree_bytes(d)
+    code, _, err = run(capsys, "gen-data", "--scenes", "2", "--seed", "9", "--out", str(d))
+    assert code == 2 and "must be a new or empty directory" in err
+    assert tree_bytes(d) == before
+    code, _, _ = run(capsys, "gen-data", "--scenes", "1", "--out", str(d / "manifest.txt"))
+    assert code == 2
+
+
+def test_gen_data_into_an_empty_directory(tmp_path, capsys):
+    assert run(capsys, "gen-data", "--scenes", "1", "--out", str(tmp_path))[0] == 0
+    assert [sc.scene_id for sc in dataset.load_dataset(str(tmp_path))] == ["scene_00000000"]
 
 
 def test_flops_resnet50(capsys):
@@ -196,7 +217,7 @@ def test_suite_evaluates_the_test_split_of_eval_data(data_dir, tmp_path, capsys,
     os.remove(eval_dir / "split_train.txt")
     calls = []
     monkeypatch.setattr(cli, "run_experiment_suite",
-                        lambda train_scenes, eval_scenes, **kw: calls.append(eval_scenes) or [])
+                        lambda train_scenes, eval_scenes, cfg: calls.append(eval_scenes) or [])
     assert run(capsys, "suite", "--data", data_dir, "--eval-data", str(eval_dir),
                *MICRO_SETS)[0] == 0
     kept = open(eval_dir / "split_test.txt").read().split()
@@ -224,6 +245,43 @@ def test_eval_rejects_non_utf8_config(data_dir, tmp_path, capsys):
     code, _, err = run(capsys, "eval", "--data", data_dir, "--oracle", "--config", str(cfg))
     assert code == 2
     assert "bad.cfg" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory"])
+def test_eval_rejects_unreadable_config(data_dir, tmp_path, capsys, kind):
+    path = tmp_path / "nope.cfg"
+    if kind == "directory":
+        path.mkdir()
+    code, _, err = run(capsys, "eval", "--data", data_dir, "--oracle", "--config", str(path))
+    assert code == 2
+    assert f"{path}: cannot read config file" in err and "Traceback" not in err
+
+
+def test_suite_trains_the_config_it_prints(data_dir, tmp_path, capsys, monkeypatch):
+    cfg_path = tmp_path / "suite.cfg"
+    cfg_path.write_text("n_queries = 7\nlearning_rate = 0.005\nepochs = 1\n")
+    trained = []
+
+    def fake_train(cfg, scenes, **kw):
+        trained.append(cfg)
+        return TrainLog(steps=[dict.fromkeys(TR.STEP_MS, 1.0)], epoch_seconds=[1.0]), {}, {}
+
+    monkeypatch.setattr(TR, "train", fake_train)
+    monkeypatch.setattr(TR, "predict_scene",
+                        lambda scene, params, cfg: dict.fromkeys(groundtruth_by_frame([scene]), []))
+    code, out, err = run(capsys, "suite", "--data", data_dir, "--config", str(cfg_path),
+                         "--set", "seed=3")
+    assert code == 0, err
+    resolved = load_config(str(cfg_path), ["seed=3"])
+    assert resolved.resolved_text() in out
+    assert trained == [dataclasses.replace(resolved, **EXPERIMENT_PRESETS[name])
+                       for name in EXPERIMENT_PRESETS]
+
+
+def test_suite_has_no_epochs_option(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(["suite", "--data", "d", "--epochs", "2"])
+    assert exc.value.code == 2
 
 
 def test_eval_needs_checkpoint(data_dir, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 from lanebev import dataset as D
 from lanebev import trainer as TR
-from lanebev.config import ConfigFileError, ExperimentConfig
+from lanebev.config import EXPERIMENT_PRESETS, ConfigFileError, ExperimentConfig
 
 MICRO = dict(backbone="toy-shallow", embed_dim=16, n_heads=2, n_sample_points=2,
              n_pillar_heights=2, ffn_dim=16, n_encoder_layers=1, n_decoder_layers=1,
@@ -477,11 +477,8 @@ def test_epoch_wall_time_accounting(scenes):
 
 
 def test_suite_table_structure(scenes):
-    rows = TR.run_experiment_suite(
-        scenes, scenes, epochs=1,
-        base_overrides=[f"{k}={v}" for k, v in MICRO.items()
-                        if k not in ("backbone", "n_encoder_layers", "n_decoder_layers")])
-    assert [r["preset"] for r in rows] == list(TR.SUITE_PRESETS)
+    rows = TR.run_experiment_suite(scenes, scenes, micro_cfg(epochs=1))
+    assert [r["preset"] for r in rows] == list(EXPERIMENT_PRESETS)
     table = TR.format_suite_table(rows)
     lines = table.splitlines()
     assert len(lines) == 5
