@@ -1,6 +1,10 @@
 """Training loop: Adam with decoupled weight decay, global grad-norm
 clipping, seeded shuffling, CSV loss logging, and bit-exact checkpoints.
 
+Parameters and both Adam moments are each one float64 buffer, with the
+named arrays as views into it in sorted name order, so clipping and Adam
+are a few whole-buffer numpy operations.
+
 A checkpoint captures everything the numerical trajectory depends on
 (parameters, Adam moments, RNG state, config hash), so an interrupted run
 resumed from disk is bit-identical to an uninterrupted one.  Diagnostic
@@ -48,43 +52,101 @@ class ConfigHashMismatchError(CheckpointError):
 # optimizer
 
 
+def _views(flat, like):
+    """Views of ``flat`` shaped like the arrays of ``like``, laid end to end
+    in sorted name order."""
+    views, end = {}, 0
+    for name in sorted(like):
+        size = np.size(like[name])
+        views[name] = flat[end:end + size].reshape(np.shape(like[name]))
+        end += size
+    return views
+
+
+def _pack(arrays):
+    """Copy ``arrays`` into one new float64 buffer; returns its views by name."""
+    return _views(np.concatenate([np.ravel(arrays[k]) for k in sorted(arrays)] or [[]],
+                                 dtype=np.float64), arrays)
+
+
+def _flat(section):
+    """The one float64 buffer the arrays of ``section`` view in sorted name
+    order.  A dict of separate arrays is packed in place first."""
+    arrays = list(section.values())
+    flat = arrays[0].base if arrays else np.empty(0)
+    packed = (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+              and flat.size == sum(a.size for a in arrays) and all(a.base is flat for a in arrays))
+    if not packed:
+        section.update(_pack(section))
+        flat = next(iter(section.values())).base
+    return flat
+
+
 def init_adam_state(params) -> dict:
-    return {"step": 0,
-            "m": {k: np.zeros_like(v) for k, v in params.items()},
-            "v": {k: np.zeros_like(v) for k, v in params.items()}}
+    size = sum(np.size(a) for a in params.values())
+    return {"step": 0, "m": _views(np.zeros(size), params), "v": _views(np.zeros(size), params)}
+
+
+def _live_runs(params, live):
+    """(parameter slice, gradient slice) per maximal run of consecutive names,
+    in sorted order, that have a gradient: one run when all of them do."""
+    runs, at, lived = [], 0, 0
+    for is_live, names in itertools.groupby(sorted(params), live.__contains__):
+        size = sum(params[k].size for k in names)
+        if is_live:
+            runs.append((slice(at, at + size), slice(lived, lived + size)))
+            lived += size
+        at += size
+    return runs
 
 
 def adam_step(params, grads, state, lr, betas=(0.9, 0.999), eps=1e-8,
               weight_decay=0.0):
     """One in-place Adam update with bias correction and decoupled weight
-    decay.  Parameters without a gradient this step are left untouched
-    (their moments do not advance either)."""
+    decay, over the flat buffers of params, m and v.  Parameters without a
+    gradient this step are left untouched (their moments do not advance
+    either).  The gradients serve as scratch space and are overwritten."""
     b1, b2 = betas
-    live = [(name, grads[name]) for name in sorted(params) if grads.get(name) is not None]
-    for name, g in live:   # validate all first: a bad gradient leaves no partial update
-        if not np.all(np.isfinite(g)):
-            raise NonFiniteGradientError(f"non-finite gradient for {name}")
+    live = {k: grads[k] for k in sorted(params) if grads.get(k) is not None}
+    g = _flat(live)
+    if not np.isfinite(g).all():   # a bad gradient leaves no partial update
+        bad = next(k for k, a in live.items() if not np.isfinite(a).all())
+        raise NonFiniteGradientError(f"non-finite gradient for {bad}")
+    p, m, v = _flat(params), _flat(state["m"]), _flat(state["v"])
     state["step"] += 1
     t = state["step"]
-    for name, g in live:
-        m = state["m"][name] = b1 * state["m"][name] + (1 - b1) * g
-        v = state["v"][name] = b2 * state["v"][name] + (1 - b2) * g * g
-        m_hat = m / (1 - b1 ** t)
-        v_hat = v / (1 - b2 ** t)
-        params[name] = params[name] - lr * (m_hat / (np.sqrt(v_hat) + eps)
-                                            + weight_decay * params[name])
+    tmp = np.empty_like(g)
+    for ps, gs in _live_runs(params, live):
+        pr, mr, vr, gr, tr = p[ps], m[ps], v[ps], g[gs], tmp[gs]
+        np.multiply(gr, 1 - b1, out=tr)           # m = b1 * m + (1 - b1) * g
+        mr *= b1
+        mr += tr
+        np.multiply(gr, 1 - b2, out=tr)           # v = b2 * v + (1 - b2) * g * g
+        tr *= gr
+        vr *= b2
+        vr += tr
+        np.divide(mr, 1 - b1 ** t, out=tr)        # m_hat / (sqrt(v_hat) + eps)
+        np.divide(vr, 1 - b2 ** t, out=gr)
+        np.sqrt(gr, out=gr)
+        gr += eps
+        tr /= gr
+        np.multiply(pr, weight_decay, out=gr)     # p -= lr * (... + weight_decay * p)
+        tr += gr
+        tr *= lr
+        pr -= tr
 
 
 def clip_global_norm(grads, max_norm):
     """Scale all gradients so the global L2 norm is at most max_norm.
 
-    The reduction runs in sorted name order so the result does not depend
-    on dict insertion order (fresh init vs checkpoint load)."""
-    total = np.sqrt(sum(float((grads[k] * grads[k]).sum()) for k in sorted(grads)))
+    The gradients are packed in place into one buffer.  Each name's squares
+    are summed on their own and the sums added in sorted name order, so the
+    result does not depend on dict insertion order (fresh init vs checkpoint
+    load)."""
+    g = _flat(grads)
+    total = np.sqrt(sum(float(sq.sum()) for sq in _views(g * g, grads).values()))
     if total > max_norm:
-        scale = max_norm / (total + 1e-12)
-        for k in grads:
-            grads[k] = grads[k] * scale
+        g *= max_norm / (total + 1e-12)
     return total
 
 
@@ -171,12 +233,13 @@ def _write_array(f, name, arr):
 
 
 def _read_array(f, size):
+    """A (name, array) record; the array views the record's payload bytes."""
     name = _read_bytes(f, size)
     (ndim,) = _unpack(f, "<I")
     shape = tuple(_unpack(f, "<Q")[0] for _ in range(ndim))
     payload = _read_bytes(f, size)
     try:  # a name that is not UTF-8, or a payload or shape that does not fit
-        return name.decode(), np.frombuffer(payload, dtype="<f8").reshape(shape).copy()
+        return name.decode(), np.frombuffer(payload, dtype="<f8").reshape(shape)
     except ValueError as e:
         raise CheckpointError(f"corrupt array record: {e}") from None
 
@@ -241,9 +304,9 @@ def load_checkpoint(path):
             epoch, step, wall = _unpack(f, "<QQd")
             rng = _rng_from_bytes(_read_bytes(f, size))
             sections = []
-            for _ in range(3):
+            for _ in range(3):   # each section's payloads copied into one buffer
                 (n,) = _unpack(f, "<Q")
-                sections.append(dict(_read_array(f, size) for _ in range(n)))
+                sections.append(_pack(dict(_read_array(f, size) for _ in range(n))))
             (adam_t,) = _unpack(f, "<Q")
             if f.read(1):
                 raise CheckpointError("trailing bytes after the checkpoint")
@@ -256,9 +319,11 @@ def load_checkpoint(path):
                                           f"at {bad[0]!r}")
             # a non-finite value or a negative second moment poisons the next step
             for label, section in zip(("parameter", "Adam m", "Adam v"), sections):
-                for k, a in sorted(section.items()):
-                    if not np.isfinite(a).all() or label == "Adam v" and (a < 0).any():
-                        raise CheckpointError(f"{label} {k!r} is non-finite or negative")
+                def bad(a):
+                    return not np.isfinite(a).all() or label == "Adam v" and (a < 0).any()
+                if bad(_flat(section)):
+                    k = next(k for k, a in section.items() if bad(a))
+                    raise CheckpointError(f"{label} {k!r} is non-finite or negative")
     except CheckpointError as e:   # every message names the file, once
         raise CheckpointError(f"{path}: {e}") from None
     adam = {"step": adam_t, "m": sections[1], "v": sections[2]}
@@ -298,6 +363,7 @@ def _train_step(scene, params, adam, cfg):
     tape.backward(loss)
     t2 = time.perf_counter()
     grads = {k: t.grad for k, t in leaves.items() if t.grad is not None}
+    del leaves   # the leaves' gradients are freed once clipping packs them
     norm = clip_global_norm(grads, cfg.grad_clip)
     lr = _lr_at(cfg, adam["step"] + 1)
     adam_step(params, grads, adam, lr, (cfg.beta1, cfg.beta2), cfg.adam_eps, cfg.weight_decay)
@@ -336,7 +402,7 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
         epoch_start, step, wall = ck["epoch"], ck["step"], ck["wall_seconds"]
     else:
         rng = np.random.default_rng(cfg.seed)
-        params = init_model_params(cfg, rng)
+        params = _pack(init_model_params(cfg, rng))
         adam = init_adam_state(params)
         epoch_start, step, wall = 0, 0, 0.0
 
@@ -385,6 +451,8 @@ def run_experiment_suite(train_scenes, eval_scenes, cfg):
     depths on ``cfg``. Returns a list of row dicts (preset, epochs,
     sec_per_epoch, map, and the median per-step wall_ms, fwd_ms, bwd_ms and
     opt_ms)."""
+    if cfg.epochs < 1:   # an untrained preset has no epoch or step times to report
+        raise ConfigFileError(f"the suite trains every preset, but epochs = {cfg.epochs}")
     gts = groundtruth_by_frame(eval_scenes)
     rows = []
     for name, preset in EXPERIMENT_PRESETS.items():

@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import shutil
+import warnings
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -276,6 +277,18 @@ def test_suite_trains_the_config_it_prints(data_dir, tmp_path, capsys, monkeypat
     assert resolved.resolved_text() in out
     assert trained == [dataclasses.replace(resolved, **EXPERIMENT_PRESETS[name])
                        for name in EXPERIMENT_PRESETS]
+
+
+def test_suite_rejects_zero_epochs_before_training(data_dir, capsys, monkeypatch):
+    trained = []
+    monkeypatch.setattr(TR, "train", lambda cfg, scenes, **kw: trained.append(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run(capsys, "suite", "--data", data_dir, *MICRO_SETS, "--set", "epochs=0")
+    assert code == 2
+    assert err.splitlines() == ["usage error: the suite trains every preset, but epochs = 0"]
+    assert trained == []
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_suite_has_no_epochs_option(capsys):

@@ -45,6 +45,9 @@ def test_tracer_measures_one_train_step_and_one_prediction(tmp_path):
 
     assert tracer.missing() == []
     counts = tracer.counts[None]
+    # the benchmark's expected_call_counts: clipping and Adam are two calls per step
+    assert counts["trainer.optimizer.calls"] == 2
+    assert counts["trainer.checkpoint_save.calls"] == 1
     frames = 2 * len(scene.frames)                                    # train, then predict
     sca_calls = cfg.n_encoder_layers * frames
     assert counts["bev_encoder.sca.calls"] == sca_calls
