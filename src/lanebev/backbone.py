@@ -192,15 +192,16 @@ def extract_features(images, cfg: BackboneConfig, params) -> Tensor:
     """Apply the shared backbone to the camera images of one frame.
 
     images: a sequence of per-view [C,H,W] arrays, or a stacked [V,C,H,W]
-    array.  Returns the views' feature maps as one channel-last
-    [V,H',W',C'] stack, in view order.
+    array, cast to the kernels' dtype.  Returns the views' feature maps as
+    one channel-last [V,H',W',C'] stack, in view order.
     """
     arrs = [np.asarray(im) for im in images]
     for i, a in enumerate(arrs):
         if tuple(a.shape) != tuple(cfg.input_shape):
             raise T.DimensionError(
                 f"view {i}: image shape {a.shape} does not match configured {cfg.input_shape}")
-    return T.transpose(run_backbone(Tensor(np.stack(arrs)), cfg, params), (0, 2, 3, 1))
+    x = T.constant(np.stack(arrs), T._as_tensor(params["stem/conv/w"]))
+    return T.transpose(run_backbone(x, cfg, params), (0, 2, 3, 1))
 
 
 def count_macs(cfg: BackboneConfig) -> int:

@@ -155,7 +155,8 @@ def deformable_attention(queries: Tensor, value_maps: Tensor, views, params, pre
     weighted = []
     for map_index, query_index, ref_points in views:
         rows = ref_points.shape[0]
-        refs = T.reshape(T._as_tensor(ref_points), (rows, 1, 1, 2))
+        refs = ref_points if isinstance(ref_points, Tensor) else T.constant(ref_points, offsets)
+        refs = T.reshape(refs, (rows, 1, 1, 2))
         pts = T.reshape(T.add(refs, offsets[query_index]), (rows * n_heads * n_points, 2))
         attn = T.reshape(weights[query_index], (rows * n_heads, n_points))
         sampled = T.bilinear_sample(value[map_index], pts, attn)  # [rows*heads, d_head]
@@ -192,7 +193,7 @@ def temporal_self_attention(bev: Tensor, query_pos: Tensor, history: Tensor | No
     refs = spec.normalize(spec.cell_centers())
     # (current, history) attentions share queries, offsets and weights and are
     # affine in the map, so their mean is one attention over the mean of the maps
-    rows = bev if history is None else T.mul(T.add(bev, history), T.Tensor(0.5))
+    rows = bev if history is None else T.mul(T.add(bev, history), T.constant(0.5, bev))
     out = deformable_attention(T.add(bev, query_pos), T.reshape(rows, (1, spec.h, spec.w, -1)),
                                [(0, slice(None), refs)], params, prefix, n_heads, n_points)
     return T.add(bev, out)
@@ -280,7 +281,7 @@ def spatial_cross_attention(bev: Tensor, query_pos: Tensor, pv_features: Tensor,
     per_cell = np.sum(hits, axis=0).reshape(n, z).sum(axis=1)
     denom = np.maximum(per_cell, 1.0)
     summed = T.tsum(T.reshape(total, (n, z, -1)), axis=1)
-    avg = T.mul(summed, T._as_tensor((1.0 / denom)[:, None]))
+    avg = T.mul(summed, T.constant((1.0 / denom)[:, None], summed))
     return T.add(bev, avg)
 
 

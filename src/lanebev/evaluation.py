@@ -4,14 +4,19 @@ Predictions are matched to groundtruth greedily in descending score order,
 one-to-one, within each scene; a match requires the same class and a
 centerline Chamfer distance under the threshold.  AP uses all-points
 interpolation of the precision-recall curve, and mAP averages over the
-foreground classes and thresholds {0.5, 1.0, 1.5} m.
+foreground classes and thresholds {0.5, 1.0, 1.5} m.  A continuous companion
+to mAP is, per class, the mean centerline Chamfer distance of the
+(prediction, groundtruth) pairs that a minimum-cost (Hungarian) assignment
+matches within each scene.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import linear_sum_assignment
 
 from .segments import CLASS_CROSSWALK, CLASS_LANE
 
@@ -65,6 +70,19 @@ def _greedy_tp_flags(entries, threshold):
     return flags
 
 
+def _matched_chamfer(entries) -> float:
+    """Mean Chamfer distance over a class's Hungarian-matched (prediction,
+    groundtruth) pairs, each scene matched on its own; nan without a pair."""
+    by_scene = {}
+    for _, si, dists in entries:
+        if dists:
+            by_scene.setdefault(si, []).append([d for _, d in dists])
+    matched = []
+    for cost in map(np.array, by_scene.values()):   # [predictions, groundtruth]
+        matched += cost[linear_sum_assignment(cost)].tolist()
+    return float(np.mean(matched)) if matched else math.nan
+
+
 def _ap_from_flags(flags, n_gt) -> float:
     """All-points interpolated area under the precision-recall curve."""
     if n_gt == 0 or len(flags) == 0:
@@ -87,6 +105,13 @@ class EvalReport:
     map_value: float
     counts: dict             # threshold -> (tp, fp, fn) summed over classes
     per_scene: list = field(default_factory=list)   # (scene_id, n_pred, n_gt)
+    matched_chamfer: dict = field(default_factory=dict)   # class_id -> mean matched Chamfer (m)
+
+    @property
+    def matched_chamfer_mean(self) -> float:
+        """The classes' matched Chamfer averaged over those with a matched pair."""
+        values = [v for v in self.matched_chamfer.values() if not math.isnan(v)]
+        return float(np.mean(values)) if values else math.nan
 
     def to_text(self) -> str:
         lines = [f"map = {self.map_value:.6f}"]
@@ -100,6 +125,8 @@ class EvalReport:
         for scene_id, n_pred, n_gt in self.per_scene:
             lines.append(f"scene/{scene_id}/n_pred = {n_pred}")
             lines.append(f"scene/{scene_id}/n_gt = {n_gt}")
+        for cls in sorted(self.matched_chamfer):
+            lines.append(f"matched_chamfer/class_{cls} = {self.matched_chamfer[cls]:.6f}")
         return "\n".join(lines) + "\n"
 
 
@@ -137,4 +164,5 @@ def evaluate(predictions: dict, groundtruth: dict,
     map_value = float(np.mean(list(ap.values()))) if ap else 0.0
     per_scene = [(s, len(pred_by_scene[i]), len(gt_by_scene[i]))
                  for i, s in enumerate(scene_ids)]
-    return EvalReport(ap, map_value, counts, per_scene)
+    matched = {cls: _matched_chamfer(tables[cls][0]) for cls in gt_classes}
+    return EvalReport(ap, map_value, counts, per_scene, matched)

@@ -63,12 +63,12 @@ def _unit_left_normals(centerline: Tensor) -> Tensor:
     matching the numpy helper used for groundtruth boundaries.
     """
     d = T.sub(centerline[:, 1:, :], centerline[:, :-1, :])        # [N, P-1, 2]
-    interior = T.mul(T.add(d[:, :-1, :], d[:, 1:, :]), T.Tensor(0.5))
+    interior = T.mul(T.add(d[:, :-1, :], d[:, 1:, :]), T.constant(0.5, d))
     tangent = T.concat([d[:, :1, :], interior, d[:, -1:, :]], axis=1)
     length = T.sqrt(T.add(T.tsum(T.mul(tangent, tangent), axis=2, keepdims=True),
-                          T.Tensor(1e-12)))
+                          T.constant(1e-12, d)))
     unit = T.div(tangent, length)
-    return T.mul(unit[:, :, ::-1], T.Tensor(np.array([-1.0, 1.0])))
+    return T.mul(unit[:, :, ::-1], T.constant([-1.0, 1.0], d))
 
 
 def head_outputs(q: LaneQuerySet, params, cfg) -> HeadOutput:
@@ -82,9 +82,9 @@ def head_outputs(q: LaneQuerySet, params, cfg) -> HeadOutput:
     uv = T.sigmoid(T.add(T.reshape(q.ref_logits, (n_q, 1, 2)), offsets))
     # normalized (u, v) -> metric (x, y): u spans the lateral extent, v the
     # longitudinal one (same convention as the BEV grid)
-    scale = np.array([cfg.bev_x_max - cfg.bev_x_min, cfg.bev_y_max - cfg.bev_y_min])
-    centerline = T.add(T.mul(uv[:, :, ::-1], T.Tensor(scale)),
-                       T.Tensor(np.array([cfg.bev_x_min, cfg.bev_y_min])))
+    scale = [cfg.bev_x_max - cfg.bev_x_min, cfg.bev_y_max - cfg.bev_y_min]
+    centerline = T.add(T.mul(uv[:, :, ::-1], T.constant(scale, uv)),
+                       T.constant([cfg.bev_x_min, cfg.bev_y_min], uv))
 
     widths = T.reshape(run_linear(x, params, "head/bnd"), (n_q, p, 2))
     normals = _unit_left_normals(centerline)
@@ -100,8 +100,9 @@ def predict(q: LaneQuerySet, params, cfg) -> list[LaneSegment]:
     segs = []
     for i in range(cfg.n_queries):
         cls = int(np.argmax(scores[i]))
-        segs.append(LaneSegment(out.centerline.data[i].copy(), out.left.data[i].copy(),
-                                out.right.data[i].copy(), cls, float(scores[i, cls])))
+        segs.append(LaneSegment(out.centerline.data[i].astype(np.float64),
+                                out.left.data[i].astype(np.float64),
+                                out.right.data[i].astype(np.float64), cls, float(scores[i, cls])))
     return segs
 
 
@@ -165,29 +166,29 @@ def total_loss(out: HeadOutput, gts: list[LaneSegment], cfg):
     weights = np.where(targets == 0, cfg.background_weight, 1.0)
     logp = T.log_softmax(out.cls_logits, axis=-1)
     picked = T.reshape(logp[np.arange(rows), targets.ravel()], (n_layers, n_q))
-    ce = T.mul(T.tsum(T.mul(picked, T._as_tensor(-weights)), axis=1),
-               T._as_tensor(1.0 / weights.sum(axis=1)))
-    cls_term = T.mul(ce, T.Tensor(cfg.lambda_cls))
+    ce = T.mul(T.tsum(T.mul(picked, T.constant(-weights, picked)), axis=1),
+               T.constant(1.0 / weights.sum(axis=1), picked))
+    cls_term = T.mul(ce, T.constant(cfg.lambda_cls, ce))
 
     if gts:
         matched = (pred_idx + n_q * np.arange(n_layers)[:, None]).ravel()
 
         def layer_l1(pred, field):   # [L] sums of |pred - gt| over each layer's matches
             gt = np.tile(np.stack([getattr(g, field) for g in gts]), (n_layers, 1, 1))
-            diff = T.absolute(T.sub(pred[matched], T._as_tensor(gt)))
+            diff = T.absolute(T.sub(pred[matched], T.constant(gt, pred)))
             return T.tsum(T.reshape(diff, (n_layers, -1)), axis=1)
 
         m = len(gts)
-        pts = T.mul(layer_l1(out.centerline, "centerline"), T.Tensor(1.0 / (m * p)))
+        pts = T.mul(layer_l1(out.centerline, "centerline"), T.constant(1.0 / (m * p), ce))
         bnd_l1 = T.add(layer_l1(out.left, "left_boundary"), layer_l1(out.right, "right_boundary"))
-        bnd = T.mul(bnd_l1, T.Tensor(1.0 / (2 * m * p)))
+        bnd = T.mul(bnd_l1, T.constant(1.0 / (2 * m * p), ce))
     else:
-        pts = bnd = T.Tensor(np.zeros(n_layers))
-    terms = {"loss_cls": cls_term, "loss_pts": T.mul(pts, T.Tensor(cfg.lambda_pts)),
-             "loss_bnd": T.mul(bnd, T.Tensor(cfg.lambda_bnd))}
+        pts = bnd = T.constant(np.zeros(n_layers), ce)
+    terms = {"loss_cls": cls_term, "loss_pts": T.mul(pts, T.constant(cfg.lambda_pts, ce)),
+             "loss_bnd": T.mul(bnd, T.constant(cfg.lambda_bnd, ce))}
 
     layer_losses = T.add(T.add(cls_term, terms["loss_pts"]), terms["loss_bnd"])   # [L]
-    loss = T.mul(T.tsum(layer_losses), T.Tensor(1.0 / n_layers))
+    loss = T.mul(T.tsum(layer_losses), T.constant(1.0 / n_layers, ce))
     breakdown = {k: float(np.mean(t.data)) for k, t in terms.items()}
     breakdown["loss_total"] = float(loss.data)
     return loss, breakdown

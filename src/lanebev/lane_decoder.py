@@ -49,7 +49,8 @@ def self_attention(queries: Tensor, params, prefix, n_heads: int = SELF_ATTN_HEA
         return T.transpose(T.reshape(x, (n, n_heads, d_head)), (1, 0, 2))
 
     qh, kh, vh = split(q), split(k), split(v)
-    scores = T.mul(T.matmul(qh, T.transpose(kh, (0, 2, 1))), T.Tensor(1.0 / np.sqrt(d_head)))
+    scores = T.matmul(qh, T.transpose(kh, (0, 2, 1)))
+    scores = T.mul(scores, T.constant(1.0 / np.sqrt(d_head), scores))
     attn = T.softmax(scores, axis=-1)                      # rows sum to 1
     ctx = T.matmul(attn, vh)                               # [heads, N, d_head]
     merged = T.reshape(T.transpose(ctx, (1, 0, 2)), (n, dim))

@@ -75,7 +75,7 @@ def scene_loss(scene, params, cfg):
         loss_t, parts = total_loss(head_outputs(stack_layers(qsets), params, cfg), gts, cfg)
         losses.append(loss_t)
         parts_acc.append(parts)
-    loss = T.mul(T.tsum(T.stack(losses)), T.Tensor(1.0 / len(losses)))
+    loss = T.mul(T.tsum(T.stack(losses)), T.constant(1.0 / len(losses), losses[0]))
     breakdown = {k: float(np.mean([p[k] for p in parts_acc])) for k in parts_acc[0]}
     breakdown["loss_total"] = float(loss.data)
     return loss, breakdown

@@ -6,7 +6,9 @@ arrays; an explicit :class:`Tape` records backward rules per forward pass,
 so there is no implicit global graph.
 
 Conventions:
-  * scalars are float64 unless a float32 array is passed in
+  * every op's output and gradients take its inputs' dtype (float64 or
+    float32); a constant the model builds is made with :func:`constant` in
+    the dtype of the tensor it meets, so it never promotes a float32 input
   * gradients accumulate into ``Tensor.grad`` buffers during ``tape.backward``
   * tensors are immutable after creation except for gradient accumulation
 """
@@ -119,6 +121,13 @@ class Tape:
 
 def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def constant(value, like: Tensor) -> Tensor:
+    """An untracked tensor of ``value`` in ``like``'s dtype.  numpy 2 promotes
+    a float32 array met by a float64 one, 0-d included, so every constant an
+    op meets takes the dtype of the tensor it meets."""
+    return Tensor(np.asarray(value, dtype=like.data.dtype))
 
 
 def _tape_of(*tensors):
@@ -262,7 +271,7 @@ def tmean(x: Tensor, axis=None, keepdims=False) -> Tensor:
         n = x.data.size
     else:
         n = x.data.shape[axis]
-    return mul(tsum(x, axis=axis, keepdims=keepdims), Tensor(np.asarray(1.0 / n, dtype=x.data.dtype)))
+    return mul(tsum(x, axis=axis, keepdims=keepdims), constant(1.0 / n, x))
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -490,9 +499,10 @@ def conv2d(x: Tensor, kernels: Tensor, bias: Tensor | None = None,
         _accumulate(kernels, gk)
         if x.tape is not None:
             gxp = np.zeros(xl.shape, dtype=xp.dtype)   # channel-last in memory
+            tap_shape = g4.shape[:3] + (cin,)
             for i in range(kh):
-                for j in range(kw):
-                    tap(gxp, i, j)[...] += g4 @ kernels.data[:, :, i, j]
+                for j in range(kw):   # one 2-D GEMM; g4 @ K would make one per image row
+                    tap(gxp, i, j)[...] += (g2 @ kernels.data[:, :, i, j]).reshape(tap_shape)
             gx = gxp[:, padding:padding + h, padding:padding + w].transpose(0, 3, 1, 2)
             _accumulate(x, gx[0] if squeeze else gx)
     out = _op(y[0] if squeeze else y, (x, kernels) if bias is None else (x, kernels, bias), backward)
@@ -539,7 +549,9 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     u=(c+0.5)/W, v=(r+0.5)/H.  Points outside the unit square return zeros;
     neighbours outside the map contribute zero (border-zero policy).  With
     weights [R,K], output row r is sum_k weights[r, k] * sample(points[r*K+k]);
-    no weights means unit weights [N,1].
+    no weights means unit weights [N,1].  The output and the map and weight
+    gradients take the map's and weights' dtype, the point gradient the
+    points' dtype; the index arithmetic runs in float64 whatever they are.
 
     One CSR matrix S [R, H*W*G] holds corner weight times point weight per
     point and corner (00, 01, 10, 11) over the map's rows [H*W*G, C]: the
@@ -553,7 +565,7 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     h, w, c = value_map.shape[0], value_map.shape[1], value_map.shape[-1]
     groups = value_map.shape[2] if value_map.ndim == 4 else 1
     n = points.data.size // 2
-    weights = Tensor(np.ones((n, 1))) if weights is None else weights
+    weights = Tensor(np.ones((n, 1), value_map.data.dtype)) if weights is None else weights
     shape = weights.shape
     if points.shape != (n, 2) or len(shape) != 2 or shape[0] * shape[1] != n or shape[0] % groups:
         raise DimensionError(f"points {points.shape} and weights {shape} unfit for {groups} groups")
@@ -564,8 +576,8 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     # per axis (x, y), lo is in [-1, size-1]: each neighbour is clamped on
     # one side only, and one outside the map gets weight zero.  The index
     # arithmetic runs in float64, exact for these integers, next to the
-    # weights, and the pixels are cast once to int32: what scipy keeps, so
-    # its constructor copies no column index.
+    # weights, which are then cast once to the sample's dtype, and the pixels
+    # once to int32: what scipy keeps, so its constructor copies no column index.
     size = np.array([[w], [h]], dtype=np.float64)
     f = np.fmin(np.fmax(p, 0.0), 1.0) * size - 0.5
     lo = np.floor(f)
@@ -579,13 +591,14 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
     wts *= valid
     np.maximum(lo, 0.0, out=at[0])
     np.minimum(hi, size - 1.0, out=at[1])
+    wts = wts.astype(np.result_type(value_map.data, weights.data), copy=False)
     # the corner pixels and weights, corner-major [4, n] in the order 00, 01, 10, 11 (dy, dx)
     pixel = (at[:, 1, None] * w + at[:, 0]).reshape(4, -1).astype(np.int32)
     wgt = (wts[:, 1, None] * wts[:, 0]).reshape(4, -1)
     pw = np.where(inside, weights.data.reshape(-1), 0.0)
     column = pixel * groups + np.tile(np.arange(groups, dtype=np.int32).repeat(k), rows // groups)
     # the CSR data and columns are point-major [n, 4], written a corner at a time
-    data, cols = np.empty((n, 4)), np.empty((n, 4), dtype=np.int32)
+    data, cols = np.empty((n, 4), wts.dtype), np.empty((n, 4), dtype=np.int32)
     for j in range(4):
         np.multiply(wgt[j], pw, out=data[:, j])
         cols[:, j] = column[j]
@@ -608,10 +621,10 @@ def bilinear_sample(value_map: Tensor, points: Tensor, weights: Tensor | None = 
             _accumulate(weights, np.where(inside, (dot * wgt).sum(axis=0), 0.0).reshape(rows, k))
         dot *= pw
         if points.tape is not None:
-            sgn = valid * [[[-1.0]], [[1.0]]]
+            sgn = valid * np.array([[[-1.0]], [[1.0]]], wts.dtype)
             dwx = (wts[:, 1, None] * sgn[:, 0]).reshape(4, -1)
             dwy = (sgn[:, 1, None] * wts[:, 0]).reshape(4, -1)
-            gpts = np.empty((n, 2))
+            gpts = np.empty((n, 2), points.data.dtype)
             gpts[:, 0] = (dot * dwx * w).sum(axis=0)
             gpts[:, 1] = (dot * dwy * h).sum(axis=0)
             gpts[~inside] = 0.0

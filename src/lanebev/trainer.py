@@ -1,9 +1,10 @@
 """Training loop: Adam with decoupled weight decay, global grad-norm
 clipping, seeded shuffling, CSV loss logging, and bit-exact checkpoints.
 
-Parameters and both Adam moments are each one float64 buffer, with the
-named arrays as views into it in sorted name order, so clipping and Adam
-are a few whole-buffer numpy operations.
+Parameters and both Adam moments are each one buffer of the parameters'
+dtype, with the named arrays as views into it in sorted name order, so
+clipping and Adam are a few whole-buffer numpy operations in that dtype.  A
+fresh run packs float32 parameters; a resumed one keeps its checkpoint's.
 
 A checkpoint captures everything the numerical trajectory depends on
 (parameters, Adam moments, RNG state, config hash), so an interrupted run
@@ -15,6 +16,7 @@ loss jump.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import struct
 import time
@@ -28,7 +30,9 @@ from .model import groundtruth_by_frame, init_model_params, predict_scene, scene
 from .tensor import Tape
 
 CHECKPOINT_MAGIC = b"LBCK"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# per version, the payload dtype of each element width: version 1 wrote only float64
+PAYLOAD_DTYPES = {1: {8: "<f8"}, 2: {8: "<f8", 4: "<f4"}}
 RNG_STATE_BYTES = 60   # PCG64 tag, state, increment, has_uint32, uinteger
 
 
@@ -63,18 +67,19 @@ def _views(flat, like):
     return views
 
 
-def _pack(arrays):
-    """Copy ``arrays`` into one new float64 buffer; returns its views by name."""
+def _pack(arrays, dtype=None):
+    """Copy ``arrays`` into one new buffer of ``dtype`` (by default the
+    arrays' own, promoted); returns its views by name."""
     return _views(np.concatenate([np.ravel(arrays[k]) for k in sorted(arrays)] or [[]],
-                                 dtype=np.float64), arrays)
+                                 dtype=dtype), arrays)
 
 
 def _flat(section):
-    """The one float64 buffer the arrays of ``section`` view in sorted name
-    order.  A dict of separate arrays is packed in place first."""
+    """The one buffer the arrays of ``section`` view in sorted name order.  A
+    dict of separate arrays is packed in place first."""
     arrays = list(section.values())
     flat = arrays[0].base if arrays else np.empty(0)
-    packed = (isinstance(flat, np.ndarray) and flat.ndim == 1 and flat.dtype == np.float64
+    packed = (isinstance(flat, np.ndarray) and flat.ndim == 1
               and flat.size == sum(a.size for a in arrays) and all(a.base is flat for a in arrays))
     if not packed:
         section.update(_pack(section))
@@ -83,8 +88,9 @@ def _flat(section):
 
 
 def init_adam_state(params) -> dict:
-    size = sum(np.size(a) for a in params.values())
-    return {"step": 0, "m": _views(np.zeros(size), params), "v": _views(np.zeros(size), params)}
+    """Zero moments in one buffer each, of the parameters' dtype."""
+    zeros = np.zeros(sum(np.size(a) for a in params.values()), np.result_type(*params.values()))
+    return {"step": 0, "m": _views(zeros, params), "v": _views(zeros.copy(), params)}
 
 
 def _live_runs(params, live):
@@ -142,11 +148,13 @@ def clip_global_norm(grads, max_norm):
     The gradients are packed in place into one buffer.  Each name's squares
     are summed on their own and the sums added in sorted name order, so the
     result does not depend on dict insertion order (fresh init vs checkpoint
-    load)."""
+    load).  The squares are float64, exact for float32 gradients; the scale
+    is a Python float, so the buffer is scaled in its own dtype."""
     g = _flat(grads)
-    total = np.sqrt(sum(float(sq.sum()) for sq in _views(g * g, grads).values()))
+    squares = np.multiply(g, g, dtype=np.float64)
+    total = np.sqrt(sum(float(sq.sum()) for sq in _views(squares, grads).values()))
     if total > max_norm:
-        g *= max_norm / (total + 1e-12)
+        g *= float(max_norm / (total + 1e-12))
     return total
 
 
@@ -224,22 +232,31 @@ def _read_bytes(f, size):
 
 
 def _write_array(f, name, arr):
+    """A float32 array is written as <f4, any other as <f8; a 0-d one keeps
+    its shape."""
     _write_bytes(f, name.encode())
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
+    arr = np.asarray(arr)
     f.write(struct.pack("<I", arr.ndim))
     for d in arr.shape:
         f.write(struct.pack("<Q", d))
-    _write_bytes(f, arr.astype("<f8").tobytes())
+    _write_bytes(f, arr.astype("<f4" if arr.dtype == np.float32 else "<f8").tobytes())
 
 
-def _read_array(f, size):
-    """A (name, array) record; the array views the record's payload bytes."""
+def _read_array(f, size, dtypes):
+    """A (name, array) record; the array views the record's payload bytes,
+    whose length per element picks its dtype from ``dtypes`` (element width
+    -> dtype).  An empty payload reads as <f8."""
     name = _read_bytes(f, size)
     (ndim,) = _unpack(f, "<I")
     shape = tuple(_unpack(f, "<Q")[0] for _ in range(ndim))
     payload = _read_bytes(f, size)
-    try:  # a name that is not UTF-8, or a payload or shape that does not fit
-        return name.decode(), np.frombuffer(payload, dtype="<f8").reshape(shape)
+    count = math.prod(shape)
+    width = len(payload) // count if count else 8
+    if width not in dtypes or width * count != len(payload):
+        raise CheckpointError(f"corrupt array record: {len(payload)} payload bytes "
+                              f"for shape {shape}")
+    try:  # a name that is not UTF-8
+        return name.decode(), np.frombuffer(payload, dtype=dtypes[width]).reshape(shape)
     except ValueError as e:
         raise CheckpointError(f"corrupt array record: {e}") from None
 
@@ -295,7 +312,7 @@ def load_checkpoint(path):
             if f.read(4) != CHECKPOINT_MAGIC:
                 raise CheckpointError("not a checkpoint file")
             (version,) = _unpack(f, "<I")
-            if version != CHECKPOINT_VERSION:
+            if version not in PAYLOAD_DTYPES:
                 raise CheckpointError(f"unsupported checkpoint version {version}")
             try:
                 cfg_hash = _read_bytes(f, size).decode()
@@ -303,13 +320,19 @@ def load_checkpoint(path):
                 raise CheckpointError("config hash is not UTF-8") from None
             epoch, step, wall = _unpack(f, "<QQd")
             rng = _rng_from_bytes(_read_bytes(f, size))
-            sections = []
-            for _ in range(3):   # each section's payloads copied into one buffer
+            records = []
+            for _ in range(3):
                 (n,) = _unpack(f, "<Q")
-                sections.append(_pack(dict(_read_array(f, size) for _ in range(n))))
+                records.append(dict(_read_array(f, size, PAYLOAD_DTYPES[version])
+                                    for _ in range(n)))
             (adam_t,) = _unpack(f, "<Q")
             if f.read(1):
                 raise CheckpointError("trailing bytes after the checkpoint")
+            # one dtype for all three sections, each copied into one buffer of it
+            dtypes = {a.dtype for r in records for a in r.values() if a.size} or {np.float64}
+            if len(dtypes) > 1:
+                raise CheckpointError("the payloads mix <f4 and <f8")
+            sections = [_pack(r, *dtypes) for r in records]
             # Adam needs one moment of the parameter's shape per parameter
             for label, moments in zip("mv", sections[1:]):
                 bad = sorted(moments.keys() ^ sections[0].keys()) or [
@@ -402,7 +425,7 @@ def train(cfg, scenes, checkpoint_dir=None, log_path=None, resume_from=None,
         epoch_start, step, wall = ck["epoch"], ck["step"], ck["wall_seconds"]
     else:
         rng = np.random.default_rng(cfg.seed)
-        params = _pack(init_model_params(cfg, rng))
+        params = _pack(init_model_params(cfg, rng), np.float32)
         adam = init_adam_state(params)
         epoch_start, step, wall = 0, 0, 0.0
 
@@ -447,10 +470,10 @@ STEP_MS = ("wall_ms", "fwd_ms", "bwd_ms", "opt_ms")
 
 def run_experiment_suite(train_scenes, eval_scenes, cfg):
     """Train every preset of ``EXPERIMENT_PRESETS``, in order, and compare
-    sec/epoch and mAP. A preset sets only its backbone and encoder/decoder
-    depths on ``cfg``. Returns a list of row dicts (preset, epochs,
-    sec_per_epoch, map, and the median per-step wall_ms, fwd_ms, bwd_ms and
-    opt_ms)."""
+    sec/epoch, mAP and matched Chamfer. A preset sets only its backbone and
+    encoder/decoder depths on ``cfg``. Returns a list of row dicts (preset,
+    epochs, sec_per_epoch, map, the median per-step wall_ms, fwd_ms, bwd_ms
+    and opt_ms, and chamfer: ``EvalReport.matched_chamfer_mean``)."""
     if cfg.epochs < 1:   # an untrained preset has no epoch or step times to report
         raise ConfigFileError(f"the suite trains every preset, but epochs = {cfg.epochs}")
     gts = groundtruth_by_frame(eval_scenes)
@@ -463,15 +486,16 @@ def run_experiment_suite(train_scenes, eval_scenes, cfg):
         rows.append({"preset": name, "epochs": run_cfg.epochs,
                      "sec_per_epoch": float(np.mean(log.epoch_seconds)),
                      "map": report.map_value,
-                     **{k: float(np.median([r[k] for r in log.steps])) for k in STEP_MS}})
+                     **{k: float(np.median([r[k] for r in log.steps])) for k in STEP_MS},
+                     "chamfer": report.matched_chamfer_mean})
     return rows
 
 
 def format_suite_table(rows) -> str:
     lines = [f"{'preset':<18} {'epochs':>6} {'sec/epoch':>10} {'mAP':>8}"
-             + "".join(f" {k:>8}" for k in STEP_MS)]
+             + "".join(f" {k:>8}" for k in STEP_MS) + f" {'chamfer':>8}"]
     for r in rows:
         lines.append(f"{r['preset']:<18} {r['epochs']:>6d} "
                      f"{r['sec_per_epoch']:>10.2f} {r['map']:>8.4f}"
-                     + "".join(f" {r[k]:>8.1f}" for k in STEP_MS))
+                     + "".join(f" {r[k]:>8.1f}" for k in STEP_MS) + f" {r['chamfer']:>8.3f}")
     return "\n".join(lines)

@@ -379,7 +379,7 @@ def test_train_resume_eval_viz_round_trip(data_dir, tmp_path, capsys):
                        "--checkpoint", str(ckpt_dir / "ckpt_epoch_2.bin"),
                        *MICRO_SETS, "--set", "epochs=2")
     assert code == 0
-    assert out.strip().splitlines()[-1].startswith(("map", "scene", "counts"))
+    assert out.strip().splitlines()[-1].startswith(("map", "scene", "counts", "matched_chamfer"))
 
     # viz with the checkpoint: both panels present
     scene_id = open(os.path.join(data_dir, "manifest.txt")).read().split()[-1]

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -229,3 +231,75 @@ def test_evaluate_matches_lazy_greedy_oracle(rng):
             assert rep.ap[(cls, thr)] == EV._ap_from_flags(flags, n_gt)
             tp, fp, fn = tp + flags.sum(), fp + (~flags).sum(), fn + n_gt - flags.sum()
         assert rep.counts[thr] == (tp, fp, fn)
+
+
+# -- matched Chamfer --
+
+
+def scalar_chamfer(a, b):
+    fwd = sum(min(np.hypot(*(pa - pb)) for pb in b) for pa in a) / len(a)
+    bwd = sum(min(np.hypot(*(pb - pa)) for pa in a) for pb in b) / len(b)
+    return 0.5 * (fwd + bwd)
+
+
+def matched_chamfer_oracle(pred_by_scene, gt_by_scene, class_id):
+    """Per scene, every injective pairing of the class's predictions with its
+    groundtruth tried for the least total scalar Chamfer; the mean over the
+    pairs of every scene's best pairing, nan without a pair."""
+    total, pairs = 0.0, 0
+    for preds, gts in zip(pred_by_scene, gt_by_scene):
+        ps = [p.centerline for p in preds if p.class_id == class_id]
+        gs = [g.centerline for g in gts if g.class_id == class_id]
+        d = [[scalar_chamfer(p, g) for g in gs] for p in ps]
+        k = min(len(ps), len(gs))
+        if not k:
+            continue
+        if len(ps) >= len(gs):   # groundtruth j takes prediction perm[j]
+            best = min(sum(d[i][j] for j, i in enumerate(perm))
+                       for perm in itertools.permutations(range(len(ps)), k))
+        else:                    # prediction i takes groundtruth perm[i]
+            best = min(sum(d[i][j] for i, j in enumerate(perm))
+                       for perm in itertools.permutations(range(len(gs)), k))
+        total, pairs = total + best, pairs + k
+    return total / pairs if pairs else np.nan
+
+
+def test_matched_chamfer_matches_brute_force_oracle(rng):
+    classes = (CLASS_LANE, CLASS_CROSSWALK)
+    for trial in range(20):
+        gt = {f"s{i}": [seg(rng.uniform(-6, 6), classes[rng.integers(2)], p=int(rng.integers(2, 6)))
+                        for _ in range(rng.integers(0, 5))] for i in range(3)}
+        preds = {s: [seg(rng.uniform(-8, 8), classes[rng.integers(3) % 2], rng.uniform(),
+                         x0=rng.uniform(-6, -4), p=int(rng.integers(2, 6)))
+                     for _ in range(rng.integers(0, 6))] for s in gt}
+        rep = EV.evaluate(preds, gt)
+        scenes = sorted(gt)
+        present = [c for c in classes if any(g.class_id == c for s in scenes for g in gt[s])]
+        assert sorted(rep.matched_chamfer) == present
+        for cls in present:
+            want = matched_chamfer_oracle([preds[s] for s in scenes], [gt[s] for s in scenes], cls)
+            if np.isnan(want):
+                assert np.isnan(rep.matched_chamfer[cls]), trial
+            else:
+                assert rep.matched_chamfer[cls] == pytest.approx(want, rel=1e-12), trial
+
+
+def test_matched_chamfer_perfect_and_unmatched():
+    gt = {"a": [seg(0.0), seg(4.0), seg(2.0, CLASS_CROSSWALK)]}
+    rep = EV.evaluate({"a": [seg(4.0, score=0.3), seg(0.0, score=0.9)]}, gt)
+    assert rep.matched_chamfer[CLASS_LANE] == 0.0 and np.isnan(rep.matched_chamfer[CLASS_CROSSWALK])
+    assert rep.matched_chamfer_mean == 0.0
+    # one prediction between two groundtruth lanes is matched to the nearer one only
+    rep = EV.evaluate({"a": [seg(1.0), seg(2.5, CLASS_CROSSWALK)]}, gt)
+    assert rep.matched_chamfer == {CLASS_LANE: pytest.approx(1.0), CLASS_CROSSWALK: 0.5}
+    assert rep.matched_chamfer_mean == pytest.approx(0.75)
+
+
+def test_report_text_appends_matched_chamfer():
+    """The matched-Chamfer lines come last, so every earlier key keeps its position."""
+    gt = {"s0": [seg(0.0), seg(3.0, CLASS_CROSSWALK)]}
+    rep = EV.evaluate({"s0": [seg(0.5, score=0.9)]}, gt)
+    lines = rep.to_text().splitlines()
+    before = EV.EvalReport(rep.ap, rep.map_value, rep.counts, rep.per_scene).to_text()
+    assert lines[:-2] == before.splitlines()
+    assert lines[-2:] == ["matched_chamfer/class_1 = 0.500000", "matched_chamfer/class_2 = nan"]

@@ -65,6 +65,24 @@ def test_predict_list_length_and_scores(rng):
         assert s.centerline.shape == (cfg.n_points, 2)
 
 
+def test_predict_gives_float64_segments_from_float32_outputs(rng):
+    """Predictions leave the model as float64, whatever its dtype, with the
+    values of the head's outputs."""
+    cfg = head_cfg()
+    params = {k: v.astype(np.float32) for k, v in make_head(cfg, rng).items()}
+    params["head/pts/w"] = rng.standard_normal(params["head/pts/w"].shape).astype(np.float32)
+    q = make_queries(cfg, rng)
+    q = L.LaneQuerySet(T.Tensor(q.emb.data.astype(np.float32)),
+                       T.Tensor(q.ref_logits.data.astype(np.float32)))
+    out = H.head_outputs(q, params, cfg)
+    assert out.centerline.data.dtype == out.left.data.dtype == np.float32
+    for i, s in enumerate(H.predict(q, params, cfg)):
+        for got, want in ((s.centerline, out.centerline), (s.left_boundary, out.left),
+                          (s.right_boundary, out.right)):
+            assert got.dtype == np.float64 and np.array_equal(got, want.data[i])
+        assert type(s.score) is float
+
+
 def test_boundaries_follow_normals(rng):
     # a straight centerline along +x has left normal +y, so predicted
     # boundaries must sit at centerline y +/- the bias half-width

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from lanebev import dataset as D
 from lanebev import model as M
 from lanebev import tensor as T
 from lanebev.bev_encoder import EgoMotion
-from lanebev.config import ExperimentConfig
+from lanebev.config import ExperimentConfig, preset_config
 
 MICRO = dict(backbone="toy-shallow", embed_dim=16, n_heads=2, n_sample_points=2,
              n_pillar_heights=2, ffn_dim=16, n_encoder_layers=1, n_decoder_layers=1,
@@ -175,3 +177,50 @@ def test_groundtruth_by_frame(scene):
     gts = M.groundtruth_by_frame([scene])
     assert len(gts) == len(scene.frames)
     assert gts[f"{scene.scene_id}/frame_0"] == scene.groundtruth[0]
+
+
+@pytest.fixture(scope="module")
+def baseline():
+    """baseline-3:6 on a 2-frame curve scene with float64 parameters from seed 0."""
+    cfg = preset_config("baseline-3:6", seed=0)
+    scene = D.generate_scene(3, "curve", D.GenParams(frames=2))
+    return scene, cfg, M.init_model_params(cfg, np.random.default_rng(0))
+
+
+def test_baseline_float64_step1_loss_pinned(baseline):
+    """The float64 step-1 loss every change has kept since it was first measured."""
+    scene, cfg, params = baseline
+    loss, _ = M.scene_loss(scene, params, cfg)
+    assert loss.data.dtype == np.float64 and float(loss.data) == 107.26065010401956
+
+
+def test_float32_parameters_keep_every_op_float32(baseline, monkeypatch):
+    """With float32 parameters every op output, every gradient an op passes
+    back and every parameter gradient is float32, in training and prediction."""
+    scene, cfg, params = baseline
+    params = {k: v.astype(np.float32) for k, v in params.items()}
+    outputs, passed = Counter(), Counter()
+    op, accumulate = T._op, T._accumulate
+
+    def spy_op(data, inputs, backward):
+        out = op(data, inputs, backward)
+        outputs[out.data.dtype] += 1
+        return out
+
+    def spy_accumulate(t, g):
+        passed[np.asarray(g).dtype] += 1
+        accumulate(t, g)
+
+    monkeypatch.setattr(T, "_op", spy_op)
+    monkeypatch.setattr(T, "_accumulate", spy_accumulate)
+    tape = T.Tape()
+    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    loss, _ = M.scene_loss(scene, leaves, cfg)
+    tape.backward(loss)
+    f32 = np.dtype(np.float32)
+    assert list(outputs) == list(passed) == [f32]
+    grads = [t.grad for t in leaves.values() if t.grad is not None]
+    assert len(grads) > 250 and {g.dtype for g in grads} == {f32}
+    outputs.clear()
+    preds = M.predict_scene(scene, params, cfg)
+    assert list(outputs) == [f32] and len(preds) == len(scene.frames)

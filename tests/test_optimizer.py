@@ -101,11 +101,11 @@ def test_flat_optimizer_matches_per_name_oracle(problem, seed, weight_decay, max
 
 
 def assert_one_buffer(section):
-    """Every array views one C-contiguous float64 buffer, end to end in sorted
-    name order."""
+    """Every array views one C-contiguous buffer, end to end in sorted name
+    order."""
     names = sorted(section)
     flat = section[names[0]].base
-    assert isinstance(flat, np.ndarray) and flat.dtype == np.float64 and flat.ndim == 1
+    assert isinstance(flat, np.ndarray) and flat.ndim == 1
     assert flat.flags.c_contiguous
     start, at = flat.__array_interface__["data"][0], 0
     for k in names:
@@ -118,7 +118,9 @@ def assert_one_buffer(section):
 
 
 def assert_store(params, adam):
+    """One buffer per section, none shared, each of the params' dtype."""
     flats = [assert_one_buffer(s) for s in (params, adam["m"], adam["v"])]
+    assert len({f.dtype for f in flats}) == 1
     assert not any(np.shares_memory(a, b) for i, a in enumerate(flats) for b in flats[i + 1:])
 
 
@@ -155,7 +157,8 @@ def test_resume_keeps_parameters_without_gradient(tmp_path, scenes):
     ck = TR.load_checkpoint(str(tmp_path / "ckpt_epoch_1.bin"))
     gen = np.random.default_rng(7)
     sections = (ck["params"], ck["adam"]["m"], ck["adam"]["v"])
-    extra = {f"dec{i}/sa/k/b": [np.abs(gen.standard_normal(cfg.embed_dim)) for _ in sections]
+    extra = {f"dec{i}/sa/k/b": [np.abs(gen.standard_normal(cfg.embed_dim)).astype(s["dec/query"].dtype)
+                                for s in sections]   # in the checkpoint's dtype
              for i in range(cfg.n_decoder_layers)}
     for k, values in extra.items():
         for section, value in zip(sections, values):

@@ -285,9 +285,11 @@ def _axis_points(size):
 def test_bilinear_edge_points_match_scalar_oracle(rng, map_dtype, pts_dtype, w_dtype, h, w):
     """Points on pixel centres and edges and on the unit square's border.
     Point weights are powers of two with K = 1, so weighting scales every
-    product exactly and the forward and map gradient match the oracle byte
-    for byte; the point and weight gradients match at the tolerance of the
-    weighted test (float64) or of the gradient's dtype."""
+    product exactly and, when the map or the weights are float64, the
+    float64 forward and map gradient match the oracle byte for byte; a
+    float32 map with float32 weights samples in float32, and those two, like
+    the point and weight gradients, match at the tolerance of the weighted
+    test (float64), or at float32's when they or the sample are float32."""
     c = 3
     m = rng.standard_normal((c, h, w)).astype(map_dtype)
     uu, vv = np.meshgrid(_axis_points(w), _axis_points(h))
@@ -303,13 +305,18 @@ def test_bilinear_edge_points_match_scalar_oracle(rng, map_dtype, pts_dtype, w_d
     exact, exact_wts = pts.astype(np.float64), wts.astype(np.float64)
     want, want_pts = _bilinear_oracle(m, exact, g, exact_wts)
     samples, _ = _bilinear_oracle(m, exact, g)
-    assert out.data.tobytes() == want.tobytes()
-    gmap = _map_grad_oracle(m, exact, exact_wts * g).astype(map_dtype)
-    assert _channel_first(a.grad).tobytes() == gmap.tobytes()
-    for got, ref, dtype in ((p.grad, want_pts, pts_dtype),
-                            (q.grad, (samples * g).sum(axis=1, keepdims=True), w_dtype)):
+    gmap = _map_grad_oracle(m, exact, exact_wts * g)
+    out_dtype = np.result_type(map_dtype, w_dtype)
+    checks = [(p.grad, want_pts, pts_dtype),
+              (q.grad, (samples * g).sum(axis=1, keepdims=True), w_dtype)]
+    if out_dtype == np.float64:
+        assert out.data.tobytes() == want.tobytes()
+        assert _channel_first(a.grad).tobytes() == gmap.astype(map_dtype).tobytes()
+    else:
+        checks += [(out.data, want, out_dtype), (_channel_first(a.grad), gmap, map_dtype)]
+    for got, ref, dtype in checks:
         assert got.dtype == dtype
-        tol = 1e-12 if dtype == np.float64 else np.finfo(np.float32).eps
+        tol = 1e-12 if dtype == out_dtype == np.float64 else np.finfo(np.float32).eps
         np.testing.assert_allclose(got, ref, rtol=tol, atol=tol * np.abs(ref).max())
 
 

@@ -117,16 +117,17 @@ def test_trainlog_strictly_increasing(tmp_path):
 
 
 def _independent_grad_norm(cfg, scene):
-    """Global gradient norm of the first step, recomputed outside the trainer."""
+    """Global gradient norm of the first step, recomputed outside the trainer
+    from the float32 parameters a fresh run packs; the norm itself in float64."""
     from lanebev.model import init_model_params, scene_loss
     from lanebev.tensor import Tape
     params = init_model_params(cfg, np.random.default_rng(cfg.seed))
     tape = Tape()
-    leaves = {k: tape.leaf(v) for k, v in params.items()}
+    leaves = {k: tape.leaf(v.astype(np.float32)) for k, v in params.items()}
     loss, _ = scene_loss(scene, leaves, cfg)
     tape.backward(loss)
     return np.linalg.norm(np.concatenate([t.grad.ravel() for t in leaves.values()
-                                          if t.grad is not None]))
+                                          if t.grad is not None]).astype(np.float64))
 
 
 def test_trainlog_records_grad_norm_and_lr(scenes):
@@ -325,6 +326,78 @@ def test_checkpoint_moment_shape_must_match_parameter(tmp_path, rng):
         TR.load_checkpoint(path)
 
 
+def _float32_state(rng):
+    params = {"a/w": rng.standard_normal((2, 3)), "b": rng.standard_normal(4)}
+    params = {k: a.astype(np.float32) for k, a in params.items()}
+    adam = TR.init_adam_state(params)
+    for section in (adam["m"], adam["v"]):
+        for a in section.values():
+            a[...] = np.abs(rng.standard_normal(a.shape))
+    return params, adam
+
+
+def test_checkpoint_float32_round_trip_bit_exact(tmp_path, rng):
+    """float32 params and moments are saved as <f4, half the payload bytes of
+    <f8, and load back float32 and bit-equal."""
+    params, adam = _float32_state(rng)
+    assert {a.dtype for s in (params, adam["m"], adam["v"]) for a in s.values()} == {np.dtype(np.float32)}
+    path, wide = str(tmp_path / "ck.bin"), str(tmp_path / "f64.bin")
+    TR.save_checkpoint(path, micro_cfg(), params, adam, np.random.default_rng(0), 1, 2, 3.0)
+    ck = TR.load_checkpoint(path)
+    for got, want in ((ck["params"], params), (ck["adam"]["m"], adam["m"]),
+                      (ck["adam"]["v"], adam["v"])):
+        assert sorted(got) == sorted(want)
+        for k in want:
+            assert got[k].dtype == np.float32 and got[k].tobytes() == want[k].tobytes(), k
+    as64 = {k: a.astype(np.float64) for k, a in params.items()}
+    TR.save_checkpoint(wide, micro_cfg(), as64, TR.init_adam_state(as64),
+                       np.random.default_rng(0), 1, 2, 3.0)
+    assert os.path.getsize(wide) - os.path.getsize(path) == 3 * 10 * 4
+
+
+def test_checkpoint_mixing_f4_and_f8_payloads_raises(tmp_path, rng):
+    params, adam = _float32_state(rng)
+    path = str(tmp_path / "ck.bin")
+    for mixed in ({**adam, "v": {k: a.astype(np.float64) for k, a in adam["v"].items()}},
+                  {**adam, "m": {**adam["m"], "b": adam["m"]["b"].astype(np.float64)}}):
+        TR.save_checkpoint(path, micro_cfg(), params, mixed, np.random.default_rng(0), 1, 2, 3.0)
+        with pytest.raises(TR.CheckpointError, match="mix <f4 and <f8"):
+            TR.load_checkpoint(path)
+
+
+def test_version_1_checkpoint_loads_as_float64(tmp_path, rng):
+    """A float64 checkpoint differs from version 1 only in its version field;
+    version 1 held <f8 payloads only, so a <f4 payload is corrupt there."""
+    path, data = _small_checkpoint(tmp_path, rng)
+    assert data[4:8] == struct.pack("<I", 2)
+    want = TR.load_checkpoint(path)
+    with open(path, "wb") as f:
+        f.write(data[:4] + struct.pack("<I", 1) + data[8:])
+    ck = TR.load_checkpoint(path)
+    for got, ref in ((ck["params"], want["params"]), (ck["adam"]["m"], want["adam"]["m"]),
+                     (ck["adam"]["v"], want["adam"]["v"])):
+        for k in ref:
+            assert got[k].dtype == np.float64 and got[k].tobytes() == ref[k].tobytes(), k
+    params, adam = _float32_state(rng)
+    TR.save_checkpoint(path, micro_cfg(), params, adam, np.random.default_rng(0), 1, 2, 3.0)
+    with open(path, "r+b") as f:
+        f.seek(4)
+        f.write(struct.pack("<I", 1))
+    with pytest.raises(TR.CheckpointError, match="corrupt array record"):
+        TR.load_checkpoint(path)
+
+
+def test_checkpoint_keeps_0d_shape(tmp_path):
+    params = {"a": np.array(3.0), "b": np.ones(2)}
+    path = str(tmp_path / "ck.bin")
+    TR.save_checkpoint(path, micro_cfg(), params, TR.init_adam_state(params),
+                       np.random.default_rng(0), 1, 2, 3.0)
+    ck = TR.load_checkpoint(path)
+    for section in (ck["params"], ck["adam"]["m"], ck["adam"]["v"]):
+        assert section["a"].shape == () and section["b"].shape == (2,)
+    assert ck["params"]["a"] == 3.0
+
+
 def test_restore_checkpoint_checks_config_hash(tmp_path, rng):
     path, _ = _small_checkpoint(tmp_path, rng)
     assert TR.restore_checkpoint(path, micro_cfg(epochs=7))["step"] == 2
@@ -389,8 +462,9 @@ def test_checkpoint_with_decoder_key_bias_still_loads(tmp_path, scenes):
     assert not any(k.endswith("/sa/k/b") for k in ck["params"])
     gen = np.random.default_rng(7)
     for section in (ck["params"], ck["adam"]["m"], ck["adam"]["v"]):
-        for i in range(cfg.n_decoder_layers):
-            section[f"dec{i}/sa/k/b"] = np.abs(gen.standard_normal(cfg.embed_dim))
+        for i in range(cfg.n_decoder_layers):   # in the checkpoint's dtype
+            section[f"dec{i}/sa/k/b"] = np.abs(gen.standard_normal(cfg.embed_dim)).astype(
+                section["dec/query"].dtype)
     old = str(tmp_path / "old.bin")
     TR.save_checkpoint(old, cfg, ck["params"], ck["adam"], ck["rng"],
                        ck["epoch"], ck["step"], ck["wall_seconds"])
@@ -483,12 +557,13 @@ def test_suite_table_structure(scenes):
     lines = table.splitlines()
     assert len(lines) == 5
     assert "sec/epoch" in lines[0]
-    # the step-time medians trail the original four columns
-    assert lines[0].split() == ["preset", "epochs", "sec/epoch", "mAP", *TR.STEP_MS]
+    # the step-time medians trail the original four columns, and the matched Chamfer them
+    assert lines[0].split() == ["preset", "epochs", "sec/epoch", "mAP", *TR.STEP_MS, "chamfer"]
     for r, line in zip(rows, lines[1:]):
         assert 0.0 <= r["map"] <= 1.0
         assert r["sec_per_epoch"] > 0
         assert r["fwd_ms"] > 0 and r["bwd_ms"] > 0 and r["opt_ms"] > 0
         assert r["wall_ms"] >= max(r["fwd_ms"], r["bwd_ms"], r["opt_ms"])
         assert line.split()[:2] == [r["preset"], str(r["epochs"])]
-        assert [float(v) for v in line.split()[4:]] == [round(r[k], 1) for k in TR.STEP_MS]
+        assert [float(v) for v in line.split()[4:-1]] == [round(r[k], 1) for k in TR.STEP_MS]
+        assert line.split()[-1] == f"{r['chamfer']:.3f}"
