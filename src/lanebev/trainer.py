@@ -20,6 +20,7 @@ import math
 import os
 import struct
 import time
+import zlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,9 +31,7 @@ from .model import groundtruth_by_frame, init_model_params, predict_scene, scene
 from .tensor import Tape
 
 CHECKPOINT_MAGIC = b"LBCK"
-CHECKPOINT_VERSION = 2
-# per version, the payload dtype of each element width: version 1 wrote only float64
-PAYLOAD_DTYPES = {1: {8: "<f8"}, 2: {8: "<f8", 4: "<f4"}}
+CHECKPOINT_VERSION = 3
 RNG_STATE_BYTES = 60   # PCG64 tag, state, increment, has_uint32, uinteger
 
 
@@ -57,12 +56,13 @@ class ConfigHashMismatchError(CheckpointError):
 
 
 def _views(flat, like):
-    """Views of ``flat`` shaped like the arrays of ``like``, laid end to end
-    in sorted name order."""
+    """Views of ``flat`` shaped like ``like`` (name -> array or shape), laid
+    end to end in sorted name order."""
     views, end = {}, 0
     for name in sorted(like):
-        size = np.size(like[name])
-        views[name] = flat[end:end + size].reshape(np.shape(like[name]))
+        shape = getattr(like[name], "shape", like[name])
+        size = math.prod(shape)
+        views[name] = flat[end:end + size].reshape(shape)
         end += size
     return views
 
@@ -191,10 +191,14 @@ class TrainLog:
                         f"{int(clipped)},{stages}\n")
 
     def keep_file_rows(self, step):
-        """Cut the log file to its header and its rows up to ``step``."""
+        """Cut the log file to its header and its rows up to ``step``.  A row
+        that does not start with a step raises ``ValueError`` and cuts nothing."""
         if self.path and os.path.exists(self.path):
             with open(self.path, "r+b") as f:
                 header, *rows = f.read().splitlines(keepends=True) or [b""]
+                for line, row in enumerate(rows, start=2):
+                    if not row.split(b",")[0].isdigit():
+                        raise ValueError(f"{self.path}: line {line} has no step: {row!r}")
                 kept = itertools.takewhile(lambda row: int(row.split(b",")[0]) <= step, rows)
                 f.truncate(len(header) + sum(map(len, kept)))
 
@@ -203,62 +207,42 @@ class TrainLog:
 
 
 # ---------------------------------------------------------------------------
-# checkpoint format: versioned little-endian, length-prefixed named tensors
+# checkpoint format: versioned little-endian; one name-and-shape table, one
+# flat payload per section (params, Adam m, Adam v) and a CRC-32 trailer
 
 
-def _write_bytes(f, b):
-    f.write(struct.pack("<Q", len(b)))
-    f.write(b)
+def _prefixed(b):
+    return struct.pack("<Q", len(b)) + b
 
 
-def _read_exact(f, n):
-    b = f.read(n)
-    if len(b) != n:
-        raise CheckpointError("truncated checkpoint")
-    return b
+class _Reader:
+    """Bounds-checked reads from the front of a checkpoint's bytes."""
 
+    def __init__(self, data):
+        self.data, self.at = data, 0
 
-def _unpack(f, fmt):
-    return struct.unpack(fmt, _read_exact(f, struct.calcsize(fmt)))
+    def take(self, n):
+        if n > len(self.data) - self.at:
+            raise CheckpointError("truncated checkpoint")
+        self.at += n
+        return self.data[self.at - n:self.at]
 
+    def unpack(self, fmt):
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt)))
 
-def _read_bytes(f, size):
-    """A length-prefixed byte string; size is the whole file's length."""
-    (n,) = _unpack(f, "<Q")
-    left = size - f.tell()
-    if n > left:
-        raise CheckpointError(f"truncated checkpoint: length prefix {n} > {left} bytes left")
-    return _read_exact(f, n)
+    def prefixed(self):
+        """A length-prefixed byte string."""
+        (n,) = self.unpack("<Q")
+        if n > len(self.data) - self.at:
+            raise CheckpointError(f"truncated checkpoint: length prefix {n} > "
+                                  f"{len(self.data) - self.at} bytes left")
+        return self.take(n)
 
-
-def _write_array(f, name, arr):
-    """A float32 array is written as <f4, any other as <f8; a 0-d one keeps
-    its shape."""
-    _write_bytes(f, name.encode())
-    arr = np.asarray(arr)
-    f.write(struct.pack("<I", arr.ndim))
-    for d in arr.shape:
-        f.write(struct.pack("<Q", d))
-    _write_bytes(f, arr.astype("<f4" if arr.dtype == np.float32 else "<f8").tobytes())
-
-
-def _read_array(f, size, dtypes):
-    """A (name, array) record; the array views the record's payload bytes,
-    whose length per element picks its dtype from ``dtypes`` (element width
-    -> dtype).  An empty payload reads as <f8."""
-    name = _read_bytes(f, size)
-    (ndim,) = _unpack(f, "<I")
-    shape = tuple(_unpack(f, "<Q")[0] for _ in range(ndim))
-    payload = _read_bytes(f, size)
-    count = math.prod(shape)
-    width = len(payload) // count if count else 8
-    if width not in dtypes or width * count != len(payload):
-        raise CheckpointError(f"corrupt array record: {len(payload)} payload bytes "
-                              f"for shape {shape}")
-    try:  # a name that is not UTF-8
-        return name.decode(), np.frombuffer(payload, dtype=dtypes[width]).reshape(shape)
-    except ValueError as e:
-        raise CheckpointError(f"corrupt array record: {e}") from None
+    def text(self, what):
+        try:
+            return str(self.prefixed(), "utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{what} is not UTF-8") from None
 
 
 def _rng_state_bytes(rng) -> bytes:
@@ -290,63 +274,78 @@ def _rng_from_bytes(b) -> np.random.Generator:
 
 
 def save_checkpoint(path, cfg, params, adam, rng, epoch, step, wall_seconds):
-    tmp = path + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        _write_bytes(f, cfg.config_hash().encode())
-        f.write(struct.pack("<QQd", epoch, step, wall_seconds))
-        _write_bytes(f, _rng_state_bytes(rng))
-        for section in (params, adam["m"], adam["v"]):
-            f.write(struct.pack("<Q", len(section)))
-            for name in sorted(section):
-                _write_array(f, name, section[name])
-        f.write(struct.pack("<Q", adam["step"]))
-    os.replace(tmp, path)
+    """Atomic (temp file + rename).  Every check runs before the temp file is
+    opened; each section's buffer is then written as it is."""
+    rng_state, sections = _rng_state_bytes(rng), (params, adam["m"], adam["v"])
+    for label, moments in zip("mv", sections[1:]):
+        bad = sorted(moments.keys() ^ params.keys()) or [
+            k for k in sorted(params) if moments[k].shape != params[k].shape]
+        if bad:
+            raise CheckpointError(f"Adam {label} disagrees with the parameters at {bad[0]!r}")
+    dtypes = {a.dtype.str for s in sections for a in s.values()} or {"<f8"}
+    if dtypes not in ({"<f4"}, {"<f8"}):
+        raise CheckpointError(f"params and moments need one dtype, <f4 or <f8: {sorted(dtypes)}")
+    head = [CHECKPOINT_MAGIC, struct.pack("<I", CHECKPOINT_VERSION),
+            _prefixed(cfg.config_hash().encode()), struct.pack("<QQd", epoch, step, wall_seconds),
+            _prefixed(rng_state), struct.pack("<Q", len(params))]
+    for name in sorted(params):
+        shape = params[name].shape
+        head += [_prefixed(name.encode()), struct.pack(f"<I{len(shape)}Q", len(shape), *shape)]
+    flats = [_flat(s) for s in sections]
+    head.append(struct.pack("<IQ", flats[0].itemsize, adam["step"]))
+    chunks = [b"".join(head)]
+    for flat in flats:
+        chunks += [struct.pack("<Q", flat.nbytes), flat]
+    crc = 0
+    with open(path + ".tmp", "wb") as f:
+        for chunk in chunks:
+            f.write(chunk)
+            crc = zlib.crc32(chunk, crc)
+        f.write(struct.pack("<I", crc))
+    os.replace(path + ".tmp", path)
 
 
 def load_checkpoint(path):
+    """Parse the structure, check the CRC, then copy each section's payload
+    into one fresh buffer and check its values."""
+    with open(path, "rb") as f:
+        r = _Reader(memoryview(f.read()))
     try:
-        with open(path, "rb") as f:
-            size = os.fstat(f.fileno()).st_size
-            if f.read(4) != CHECKPOINT_MAGIC:
-                raise CheckpointError("not a checkpoint file")
-            (version,) = _unpack(f, "<I")
-            if version not in PAYLOAD_DTYPES:
-                raise CheckpointError(f"unsupported checkpoint version {version}")
-            try:
-                cfg_hash = _read_bytes(f, size).decode()
-            except UnicodeDecodeError:
-                raise CheckpointError("config hash is not UTF-8") from None
-            epoch, step, wall = _unpack(f, "<QQd")
-            rng = _rng_from_bytes(_read_bytes(f, size))
-            records = []
-            for _ in range(3):
-                (n,) = _unpack(f, "<Q")
-                records.append(dict(_read_array(f, size, PAYLOAD_DTYPES[version])
-                                    for _ in range(n)))
-            (adam_t,) = _unpack(f, "<Q")
-            if f.read(1):
-                raise CheckpointError("trailing bytes after the checkpoint")
-            # one dtype for all three sections, each copied into one buffer of it
-            dtypes = {a.dtype for r in records for a in r.values() if a.size} or {np.float64}
-            if len(dtypes) > 1:
-                raise CheckpointError("the payloads mix <f4 and <f8")
-            sections = [_pack(r, *dtypes) for r in records]
-            # Adam needs one moment of the parameter's shape per parameter
-            for label, moments in zip("mv", sections[1:]):
-                bad = sorted(moments.keys() ^ sections[0].keys()) or [
-                    k for k in sorted(moments) if moments[k].shape != sections[0][k].shape]
-                if bad:
-                    raise CheckpointError(f"Adam {label} section disagrees with the parameters "
-                                          f"at {bad[0]!r}")
-            # a non-finite value or a negative second moment poisons the next step
-            for label, section in zip(("parameter", "Adam m", "Adam v"), sections):
-                def bad(a):
-                    return not np.isfinite(a).all() or label == "Adam v" and (a < 0).any()
-                if bad(_flat(section)):
-                    k = next(k for k, a in section.items() if bad(a))
-                    raise CheckpointError(f"{label} {k!r} is non-finite or negative")
+        if r.take(4) != CHECKPOINT_MAGIC:
+            raise CheckpointError("not a checkpoint file")
+        (version,) = r.unpack("<I")
+        if version != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {version}")
+        cfg_hash = r.text("config hash")
+        epoch, step, wall = r.unpack("<QQd")
+        rng = _rng_from_bytes(r.prefixed())
+        shapes = {}   # names strictly increasing, the order the payloads are laid out in
+        for _ in range(r.unpack("<Q")[0]):
+            name, last = r.text("corrupt array record: a name"), next(reversed(shapes), None)
+            if last is not None and name <= last:
+                raise CheckpointError(f"corrupt array record: {name!r} after {last!r}")
+            (ndim,) = r.unpack("<I")
+            shapes[name] = r.unpack(f"<{ndim}Q")
+        width, adam_t = r.unpack("<IQ")
+        count = sum(map(math.prod, shapes.values()))
+        payloads = [r.prefixed() for _ in range(3)]
+        if width not in (4, 8) or {len(p) for p in payloads} != {count * width}:
+            raise CheckpointError(f"corrupt array record: payloads of {[len(p) for p in payloads]} "
+                                  f"bytes for {count} elements of width {width}")
+        (crc,) = r.unpack("<I")
+        if r.at != len(r.data):
+            raise CheckpointError("trailing bytes after the checkpoint")
+        if zlib.crc32(r.data[:-4]) != crc:
+            raise CheckpointError("CRC-32 mismatch")
+        sections = [_views(np.frombuffer(p, f"<f{width}").astype(f"f{width}"), shapes)
+                    for p in payloads]
+        # a non-finite value or a negative second moment poisons the next step
+        for label, section in zip(("parameter", "Adam m", "Adam v"), sections):
+            def bad(a):
+                return not np.isfinite(a).all() or label == "Adam v" and (a < 0).any()
+            if bad(_flat(section)):
+                k = next(k for k, a in section.items() if bad(a))
+                raise CheckpointError(f"{label} {k!r} is non-finite or negative")
     except CheckpointError as e:   # every message names the file, once
         raise CheckpointError(f"{path}: {e}") from None
     adam = {"step": adam_t, "m": sections[1], "v": sections[2]}

@@ -3,9 +3,10 @@ manifest, annotations and camera images, and a config file.
 
 Each input, with up to three bytes overwritten, must either load or raise
 its module's typed error, never a raw numpy, struct or Unicode error; what
-loads must be usable.  Every defect found so far is pinned as an
-``@example``; the byte offsets refer to the files the fixtures write, which
-the fixtures check.
+loads must be usable.  A mutated checkpoint is resealed (its CRC-32 trailer
+rewritten), so that it reaches the parser and the value checks.  Every
+defect found so far is pinned as an ``@example``; the byte offsets refer to
+the files the fixtures write, which the fixtures check.
 """
 
 import dataclasses
@@ -14,6 +15,7 @@ import os
 
 import numpy as np
 import pytest
+from checkpoint_bytes import reseal
 from hypothesis import example, given
 from hypothesis import strategies as st
 
@@ -29,12 +31,12 @@ MICRO = dict(backbone="toy-shallow", embed_dim=16, n_heads=2, n_sample_points=2,
 edits = st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), min_size=1, max_size=3)
 
 
-def _mutated(path, data, changes):
+def _mutated(path, data, changes, seal=bytes):
     buf = bytearray(data)
     for at, byte in changes:
         buf[at % len(buf)] = byte
     with open(path, "wb") as f:
-        f.write(bytes(buf))
+        f.write(seal(buf))
 
 
 @pytest.fixture(scope="module")
@@ -46,23 +48,24 @@ def checkpoint(tmp_path_factory):
                        np.random.default_rng(0), 1, 2, 3.0)
     with open(path, "rb") as f:
         data = f.read()
-    assert data[211] == 48     # "a/w"'s payload length prefix: 6 float64s
     assert data[160:172] == bytes(12)   # the RNG blob's has_uint32 and uinteger
-    assert data[344:347] == b"a/w"      # the name of "a/w"'s first Adam moment
-    assert data[500:503] == b"a/w"      # the name of "a/w"'s second Adam moment
+    assert data[188:191] == b"a/w"      # the first name of the table
+    assert data[232] == 8 and data[244] == 80   # element width; the parameter payload's length
+    assert data[252:260] == params["a/w"].tobytes()[:8]   # "a/w"'s first entry
+    assert data[420] == 80 and data[428:436] == bytes(8)   # the second moments' length; "a/w"'s first
     return path, data
 
 
 @given(changes=edits)
-@example(changes=[(211, 47)])  # a payload that is not a whole number of float64s
+@example(changes=[(244, 79)])  # a parameter payload that is not a whole number of float64s
+@example(changes=[(232, 4)])   # an element width that does not fit the payloads
 @example(changes=[(168, 1)])   # the RNG's cached uint32 above 2**32
 @example(changes=[(160, 2)])   # the RNG's has_uint32 flag neither 0 nor 1
-@example(changes=[(346, ord("x"))])  # a first moment named "a/x", for no such parameter
-@example(changes=[(226, 0x7F), (225, 0xF8)])  # "a/w"'s first entry a NaN
-@example(changes=[(538, 0xBF)])  # "a/w"'s first second moment negative (-2**-15)
+@example(changes=[(259, 0x7F), (258, 0xF8)])  # "a/w"'s first entry a NaN
+@example(changes=[(435, 0xBF)])  # "a/w"'s first second moment negative (-2**-15)
 def test_mutated_checkpoint_loads_or_raises_checkpoint_error(checkpoint, changes):
     path, data = checkpoint
-    _mutated(path, data, changes)
+    _mutated(path, data, changes, seal=reseal)
     try:
         ck = TR.load_checkpoint(path)
     except TR.CheckpointError:

@@ -212,6 +212,20 @@ def test_resume_keeps_log_rows_up_to_its_checkpoint(data_dir, tmp_path, capsys):
     assert logged_steps(tmp_path / "train_log.csv") == [1, 2, 3, 4]
 
 
+def test_resume_with_a_malformed_log_names_it_and_cuts_nothing(data_dir, tmp_path, capsys):
+    sets = [*MICRO_SETS, "--set", "epochs=2", "--set", "checkpoint_every=1"]
+    assert run(capsys, "train", "--data", data_dir, "--split", "train", "--out",
+               str(tmp_path), *sets)[0] == 0
+    log = tmp_path / "train_log.csv"
+    header, *rows = log.read_bytes().splitlines(keepends=True)
+    log.write_bytes(header + rows[0] + b"\n" + b"".join(rows[1:]))   # a blank line 3
+    before = log.read_bytes()
+    code, _, err = run(capsys, "resume", "--checkpoint", str(tmp_path / "ckpt_epoch_1.bin"),
+                       "--data", data_dir, "--split", "train", "--out", str(tmp_path), *sets)
+    assert code == 1 and f"{log}: line 3 has no step" in err
+    assert log.read_bytes() == before
+
+
 def test_suite_evaluates_the_test_split_of_eval_data(data_dir, tmp_path, capsys, monkeypatch):
     eval_dir = tmp_path / "ev"
     shutil.copytree(data_dir, eval_dir)

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from checkpoint_bytes import reseal
 
 from lanebev import dataset as D
 from lanebev import trainer as TR
@@ -293,37 +294,96 @@ def test_checkpoint_short_rng_blob(tmp_path, rng):
         TR.load_checkpoint(path)
 
 
-# the first array record ("a/w", shape (2, 3)) follows the RNG blob and the
-# section's record count (8): name length (8), name (3), ndim (4), shape
+# the name table follows the RNG blob and its name count (8); its first
+# record ("a/w", shape (2, 3)): name length (8), name (3), ndim (4), shape;
+# then "b" (4,) (21 bytes), the element width (4) and the Adam step (8), and
+# the three sections' length-prefixed payloads of 10 float64s each
 NAME_AT = RNG_LEN_AT + 8 + 60 + 8 + 8
 SHAPE_AT = NAME_AT + 3 + 4
-PAYLOAD_LEN_AT = SHAPE_AT + 16
+PARAMS_LEN_AT = SHAPE_AT + 16 + 21 + 4 + 8
+V_AT = PARAMS_LEN_AT + 2 * (8 + 80) + 8   # the first second moment
 
 
 @pytest.mark.parametrize("at, new", [
-    (SHAPE_AT, struct.pack("<Q", 5)),   # 5 x 3 does not fit the 6 stored values
+    (SHAPE_AT, struct.pack("<Q", 5)),   # 5 x 3 + 4 elements do not fit the 10 stored
     (NAME_AT, b"\xff\xfe\xfd"),         # not UTF-8
-    (PAYLOAD_LEN_AT, struct.pack("<Q", 47)),   # not a whole number of float64s
 ])
 def test_checkpoint_corrupt_array_record(tmp_path, rng, at, new):
+    """Each defect fails the structural checks even under a valid CRC."""
     path, data = _small_checkpoint(tmp_path, rng)
     assert data[NAME_AT:NAME_AT + 3] == b"a/w"
     assert struct.unpack_from("<QQ", data, SHAPE_AT) == (2, 3)
     with open(path, "wb") as f:
-        f.write(data[:at] + new + data[at + len(new):])
+        f.write(reseal(data[:at] + new + data[at + len(new):]))
     with pytest.raises(TR.CheckpointError, match="corrupt array record"):
         TR.load_checkpoint(path)
 
 
+def test_checkpoint_payload_not_whole_elements(tmp_path, rng):
+    """A parameter payload one byte short, 79 bytes, under its own length
+    prefix and a valid CRC: not a whole number of float64s."""
+    path, data = _small_checkpoint(tmp_path, rng)
+    assert struct.unpack_from("<IQQ", data, PARAMS_LEN_AT - 12) == (8, 0, 80)
+    payload_at = PARAMS_LEN_AT + 8
+    with open(path, "wb") as f:
+        f.write(reseal(data[:PARAMS_LEN_AT] + struct.pack("<Q", 79) + data[payload_at + 1:]))
+    with pytest.raises(TR.CheckpointError, match="corrupt array record: payloads of .79, 80, 80."):
+        TR.load_checkpoint(path)
+
+
+def test_checkpoint_names_strictly_increase(tmp_path):
+    """A repeated name would drop a parameter; the table lists each name once,
+    in the sorted order the payloads are laid out in."""
+    path = str(tmp_path / "ck.bin")
+    params = {"a": np.arange(3.0), "b": np.arange(2.0)}
+    TR.save_checkpoint(path, micro_cfg(), params, TR.init_adam_state(params),
+                       np.random.default_rng(0), 1, 2, 3.0)
+    data = open(path, "rb").read()
+    b_at = NAME_AT + 1 + 4 + 8 + 8   # after "a"'s record: name, ndim, one dimension
+    assert data[NAME_AT:NAME_AT + 1] == b"a" and data[b_at:b_at + 1] == b"b"
+    for name in (b"a", b"A"):   # repeated, then out of order
+        with open(path, "wb") as f:
+            f.write(reseal(data[:b_at] + name + data[b_at + 1:]))
+        with pytest.raises(TR.CheckpointError, match="corrupt array record: '.' after 'a'"):
+            TR.load_checkpoint(path)
+
+
+def test_checkpoint_every_bit_flip_raises(tmp_path, rng):
+    path, data = _small_checkpoint(tmp_path, rng)
+    for at in range(len(data)):
+        for bit in range(8):
+            with open(path, "wb") as f:
+                f.write(data[:at] + bytes([data[at] ^ 1 << bit]) + data[at + 1:])
+            with pytest.raises(TR.CheckpointError):
+                TR.load_checkpoint(path)
+
+
+def test_checkpoint_values_checked_under_a_valid_crc(tmp_path, rng):
+    """A crafted file whose CRC matches still fails the value checks."""
+    path, data = _small_checkpoint(tmp_path, rng)
+    params_at = PARAMS_LEN_AT + 8
+    assert data[V_AT:V_AT + 8] == bytes(8)
+    for at, value, message in ((params_at, np.nan, "parameter 'a/w' is non-finite"),
+                               (V_AT, -1.0, "Adam v 'a/w' is non-finite or negative")):
+        with open(path, "wb") as f:
+            f.write(reseal(data[:at] + struct.pack("<d", value) + data[at + 8:]))
+        with pytest.raises(TR.CheckpointError, match=message):
+            TR.load_checkpoint(path)
+
+
 def test_checkpoint_moment_shape_must_match_parameter(tmp_path, rng):
-    """A (1,) moment for a (3,) bias would broadcast through Adam unnoticed."""
+    """A (1,) moment for a (3,) bias would broadcast through Adam unnoticed;
+    the file has one shape per name, so saving refuses it and writes nothing."""
     path = str(tmp_path / "ck.bin")
     params = {"a/w": rng.standard_normal((2, 3)), "b": rng.standard_normal(3)}
     adam = TR.init_adam_state(params)
     adam["v"]["b"] = np.zeros(1)
-    TR.save_checkpoint(path, micro_cfg(), params, adam, np.random.default_rng(0), 1, 2, 3.0)
-    with pytest.raises(TR.CheckpointError, match="Adam v section disagrees .* at 'b'"):
-        TR.load_checkpoint(path)
+    with pytest.raises(TR.CheckpointError, match="Adam v disagrees .* at 'b'"):
+        TR.save_checkpoint(path, micro_cfg(), params, adam, np.random.default_rng(0), 1, 2, 3.0)
+    del adam["v"]["b"]
+    with pytest.raises(TR.CheckpointError, match="Adam v disagrees .* at 'b'"):
+        TR.save_checkpoint(path, micro_cfg(), params, adam, np.random.default_rng(0), 1, 2, 3.0)
+    assert os.listdir(tmp_path) == []
 
 
 def _float32_state(rng):
@@ -356,35 +416,37 @@ def test_checkpoint_float32_round_trip_bit_exact(tmp_path, rng):
 
 
 def test_checkpoint_mixing_f4_and_f8_payloads_raises(tmp_path, rng):
+    """The file holds one element width, so saving refuses mixed dtypes and
+    writes nothing."""
     params, adam = _float32_state(rng)
     path = str(tmp_path / "ck.bin")
     for mixed in ({**adam, "v": {k: a.astype(np.float64) for k, a in adam["v"].items()}},
                   {**adam, "m": {**adam["m"], "b": adam["m"]["b"].astype(np.float64)}}):
-        TR.save_checkpoint(path, micro_cfg(), params, mixed, np.random.default_rng(0), 1, 2, 3.0)
-        with pytest.raises(TR.CheckpointError, match="mix <f4 and <f8"):
-            TR.load_checkpoint(path)
+        with pytest.raises(TR.CheckpointError, match="one dtype"):
+            TR.save_checkpoint(path, micro_cfg(), params, mixed, np.random.default_rng(0), 1, 2, 3.0)
+    assert os.listdir(tmp_path) == []
 
 
-def test_version_1_checkpoint_loads_as_float64(tmp_path, rng):
-    """A float64 checkpoint differs from version 1 only in its version field;
-    version 1 held <f8 payloads only, so a <f4 payload is corrupt there."""
+def test_failed_save_leaves_no_temp_file(tmp_path, rng):
     path, data = _small_checkpoint(tmp_path, rng)
-    assert data[4:8] == struct.pack("<I", 2)
-    want = TR.load_checkpoint(path)
-    with open(path, "wb") as f:
-        f.write(data[:4] + struct.pack("<I", 1) + data[8:])
-    ck = TR.load_checkpoint(path)
-    for got, ref in ((ck["params"], want["params"]), (ck["adam"]["m"], want["adam"]["m"]),
-                     (ck["adam"]["v"], want["adam"]["v"])):
-        for k in ref:
-            assert got[k].dtype == np.float64 and got[k].tobytes() == ref[k].tobytes(), k
-    params, adam = _float32_state(rng)
-    TR.save_checkpoint(path, micro_cfg(), params, adam, np.random.default_rng(0), 1, 2, 3.0)
-    with open(path, "r+b") as f:
-        f.seek(4)
-        f.write(struct.pack("<I", 1))
-    with pytest.raises(TR.CheckpointError, match="corrupt array record"):
-        TR.load_checkpoint(path)
+    params = {"w": np.ones(2)}
+    with pytest.raises(TR.CheckpointError, match="unsupported RNG MT19937"):
+        TR.save_checkpoint(path, micro_cfg(), params, TR.init_adam_state(params),
+                           np.random.Generator(np.random.MT19937(0)), 1, 2, 3.0)
+    assert os.listdir(tmp_path) == ["ck.bin"]
+    assert open(path, "rb").read() == data
+
+
+def test_checkpoint_versions_1_and_2_are_refused(tmp_path, rng):
+    """Versions 1 and 2 stored one record per array and no checksum; there is
+    no reader for them."""
+    path, data = _small_checkpoint(tmp_path, rng)
+    assert data[4:8] == struct.pack("<I", 3)
+    for version in (1, 2):
+        with open(path, "wb") as f:
+            f.write(reseal(data[:4] + struct.pack("<I", version) + data[8:]))
+        with pytest.raises(TR.CheckpointError, match=f"unsupported checkpoint version {version}"):
+            TR.load_checkpoint(path)
 
 
 def test_checkpoint_keeps_0d_shape(tmp_path):
